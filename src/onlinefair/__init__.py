@@ -35,7 +35,6 @@ from .engine import (
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,
-    WrongArity,
     allocation_states_after,
     distribution_states_after,
     enumerate_fixed_order,
@@ -50,7 +49,6 @@ from .engine import (
     outcome_report,
     possible_item,
     possible_utility,
-    two_agent_dp,
 )
 from .generators import (
     BadR,

@@ -28,6 +28,8 @@ from .core import (
     format_rational,
     instance_from_json_dict,
     instance_to_json_dict,
+    json_int,
+    json_list,
     parse_rational,
 )
 from .engine import (
@@ -106,14 +108,21 @@ def _load_instance(path: str):
 
 
 def _load_prefix(data: dict, n: int) -> tuple[tuple[int, ...], AllocationState]:
+    if not isinstance(data, dict):
+        raise InputError(f"a prefix must be a JSON object, got {type(data).__name__}")
     try:
-        arrived = tuple(int(k) - 1 for k in data["arrived"])
+        raw_arrived = data["arrived"]
         raw_bundles = data["bundles"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad prefix JSON: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"missing prefix field: {exc}") from exc
+    arrived = tuple(json_int(k, "arrived item") - 1
+                    for k in json_list(raw_arrived, "arrived"))
+    raw_bundles = json_list(raw_bundles, "bundles")
     if len(raw_bundles) != n:
         raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
-    bundles = tuple(frozenset(int(k) - 1 for k in bundle) for bundle in raw_bundles)
+    bundles = tuple(frozenset(json_int(k, "bundle item") - 1
+                              for k in json_list(bundle, "bundle"))
+                    for bundle in raw_bundles)
     probability = parse_rational(data.get("probability", 1))
     return arrived, AllocationState(bundles, probability)
 

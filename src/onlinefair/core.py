@@ -220,8 +220,10 @@ class OutcomeReport:
     """Exact expected outcome: per-agent expected utility and the full
     agent-by-item allocation probability matrix.
 
-    ``method`` names the computation path taken (closed-form | dp |
-    enumeration | monte-carlo | online).
+    ``method`` names the computation path taken: ``closed-form`` (Like
+    under a fixed ordering) or ``dp`` (the count-state kernel, which serves
+    everything else).  The CLI labels its known-prefix answers ``online`` and
+    its sampled estimates ``monte-carlo``.
     """
 
     expected_utility: tuple[Fraction, ...]
@@ -325,17 +327,37 @@ def instance_to_json_dict(instance: Instance) -> dict:
     }
 
 
+def json_list(value, what: str) -> list:
+    """Return ``value`` if it is a JSON array; anything else is an input
+    error, so that a string is never iterated character by character."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """Return ``value`` if it is a JSON integer (booleans excluded)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json_dict(data: dict) -> Instance:
     """Parse and validate the JSON instance format."""
+    if not isinstance(data, dict):
+        raise InputError(f"an instance must be a JSON object, got "
+                         f"{type(data).__name__}")
     try:
         n = data["agents"]
         m = data["items"]
         utilities = data["utilities"]
         arrival_data = data["arrival"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"missing instance field: {exc}") from exc
-    if not isinstance(n, int) or not isinstance(m, int):
-        raise InputError("agents and items must be integers")
+    n, m = json_int(n, "agents"), json_int(m, "items")
+    if not isinstance(arrival_data, dict):
+        raise InputError(f"arrival must be a JSON object, got "
+                         f"{type(arrival_data).__name__}")
 
     kind = arrival_data.get("type")
     if kind == "order":
@@ -351,9 +373,11 @@ def instance_from_json_dict(data: dict) -> Instance:
         if not isinstance(matrix, list):
             raise InvalidDistribution("arrival matrix must be a list of rows")
         arrival = Distribution(tuple(
-            tuple(parse_rational(p) for p in row) for row in matrix))
+            tuple(parse_rational(p) for p in json_list(row, "arrival matrix row"))
+            for row in matrix))
     else:
         raise InputError(f"unknown arrival type {kind!r}")
 
-    rows = tuple(tuple(parse_rational(u) for u in row) for row in utilities)
+    rows = tuple(tuple(parse_rational(u) for u in json_list(row, "utility row"))
+                 for row in json_list(utilities, "utilities"))
     return validate_instance(Instance(n, m, rows, arrival))

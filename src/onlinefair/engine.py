@@ -8,25 +8,31 @@ Three information settings are supported:
 * a prefix of arrivals and its allocation are known and nothing is known
   about future items (``QueryContext.known_prefix``).
 
-The general tool is exhaustive traversal of the allocation tree with states
-merged by identical bundles (probabilities added).  Two fast paths avoid
-enumeration entirely: a closed form for Like under a fixed ordering, and an
-O(m) two-state dynamic program for Balanced Like with two agents.  Both are
-kept exactly interchangeable with enumeration and the test suite holds them
-to exact rational equality.
+Balanced Like gives an item to the positive bidders holding the fewest
+items, so feasibility reads only bundle sizes.  Exact outcomes therefore come
+from one count-state kernel: its frontier maps (arrived-item bitmask,
+bundle-size vector) to the probability of reaching it, and each item's
+allocation probability is added while the item is placed.  Like ignores
+bundle sizes, so under Like the size vector is dropped.  A fixed ordering
+enters the kernel as one unit arrival column per moment.  Like under a fixed
+ordering also has an O(n*m) closed form.  Possibility is positivity of the
+exact answer, and necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
 (zero utility for everyone).  Only full-length repeat-free arrival sequences
-count.
+count.  The kernel weights each placement by the probability that the
+remaining moments complete without a void, which depends only on the set of
+arrived items.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -51,10 +57,6 @@ ONE = Fraction(1)
 class UnsupportedQuery(InputError):
     """The operation does not apply to this context (wrong arrival model,
     missing prefix, wrong mechanism)."""
-
-
-class WrongArity(InputError):
-    pass
 
 
 class InconsistentPrefix(InputError):
@@ -96,9 +98,10 @@ def _bid_rows(ctx: QueryContext) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-def _positive_bidders(bid_rows, n: int, m: int):
-    return tuple(tuple(i for i in range(n) if bid_rows[i][k] > 0)
-                 for k in range(m))
+def _positive_bidders(bid_rows):
+    # bids are checked non-negative, so positive means nonzero
+    return tuple(tuple(i for i, bid in enumerate(column) if bid)
+                 for column in zip(*bid_rows))
 
 
 def _checked_prefix(ctx: QueryContext):
@@ -162,18 +165,117 @@ def _step_frontier(frontier, counts_of, item, positive, mechanism, budget):
     return new_frontier, new_counts
 
 
-def _report(instance: Instance, states: Iterable[tuple[tuple[int, ...], Fraction]],
-            method: str) -> OutcomeReport:
-    n, m = instance.n, instance.m
-    alloc = [[ZERO] * m for _ in range(n)]
-    for owners, prob in states:
-        for item, owner in enumerate(owners):
-            if owner >= 0:
-                alloc[owner][item] += prob
+def _outcome(instance: Instance, alloc, method: str) -> OutcomeReport:
+    """Price an agent-by-item allocation matrix at the true utilities."""
     utility = tuple(
-        sum((alloc[i][k] * instance.utilities[i][k] for k in range(m)), ZERO)
-        for i in range(n))
+        sum((p * u for p, u in zip(row, values) if p and u), ZERO)
+        for row, values in zip(alloc, instance.utilities))
     return OutcomeReport(utility, tuple(tuple(row) for row in alloc), method)
+
+
+@functools.lru_cache(maxsize=8)
+def _columns(arrival):
+    """Per-moment positive arrival support as (item, item bit, probability).
+
+    A fixed ordering is one unit column per moment.  Cached because
+    manipulation searches query one arrival model thousands of times.
+    """
+    if isinstance(arrival, FixedOrder):
+        return tuple(((k, 1 << k, ONE),) for k in arrival.order)
+    m = len(arrival.matrix)
+    return tuple(
+        tuple((k, 1 << k, arrival.matrix[k][j]) for k in range(m)
+              if arrival.matrix[k][j] > 0)
+        for j in range(m))
+
+
+def _completion(columns, budget: int) -> dict[int, Fraction]:
+    """For every arrived-item mask reachable from the empty start, the
+    probability that the remaining moments each draw a fresh item.
+
+    The masks are collected level by level going forward, then the factors
+    are filled in going backward; a mask's level is its popcount, so one
+    dict holds every level.
+    """
+    levels = [{0}]
+    for moment, column in enumerate(columns):
+        level = {arrived | bit for arrived in levels[-1]
+                 for _item, bit, _delta in column if not arrived & bit}
+        if len(level) > budget:
+            raise BudgetExceeded(
+                f"arrival masks reached {len(level)} at moment {moment + 1} "
+                f"(budget {budget})")
+        levels.append(level)
+    factor = dict.fromkeys(levels[-1], ONE)
+    for column, level in zip(reversed(columns), reversed(levels[:-1])):
+        for arrived in level:
+            factor[arrived] = sum(
+                (delta * factor[arrived | bit] for _item, bit, delta in column
+                 if not arrived & bit), ZERO)
+    return factor
+
+
+def _count_state_outcome(ctx: QueryContext, owners, counts, arrived) -> OutcomeReport:
+    """Exact outcome by the count-state kernel, from a start point as
+    returned by ``_start_point``.
+
+    The frontier maps (arrived mask, bundle sizes) to the probability of
+    reaching it without a void.  Placing item k on agent i adds the branch
+    probability, times the completion factor of the new mask, to the
+    allocation probability of (i, k).  A fixed ordering never voids, so its
+    factor is 1 and no completion table is built.
+    """
+    instance, mechanism, budget = ctx.instance, ctx.mechanism, ctx.budget
+    n, m = instance.n, instance.m
+    positive = _positive_bidders(_bid_rows(ctx))
+    columns = _columns(instance.arrival)
+    completion = (None if isinstance(instance.arrival, FixedOrder)
+                  else _completion(columns, budget))
+    sized = mechanism is Mechanism.BALANCED_LIKE
+    alloc = [[ZERO] * m for _ in range(n)]
+    for item, owner in enumerate(owners):
+        if owner >= 0:
+            alloc[owner][item] = ONE
+    start = (sum(1 << item for item in arrived), counts if sized else ())
+    frontier = {start: ONE}
+    for moment in range(len(arrived), m):
+        successors: dict = {}
+        for (mask, counts), prob in frontier.items():
+            for item, bit, delta in columns[moment]:
+                if mask & bit:
+                    continue
+                mask2 = mask | bit
+                if completion is None:
+                    weight = prob
+                else:
+                    tail = completion[mask2]
+                    if not tail:
+                        continue
+                    weight = prob * delta
+                feas = feasible_for_counts(mechanism, counts, positive[item])
+                if not feas:
+                    key = (mask2, counts)
+                    acc = successors.get(key)
+                    successors[key] = weight if acc is None else acc + weight
+                    continue
+                share = weight if len(feas) == 1 else weight / len(feas)
+                credit = share if completion is None else share * tail
+                for agent in feas:
+                    held = alloc[agent][item]
+                    alloc[agent][item] = credit if held is ZERO else held + credit
+                    if sized:
+                        key = (mask2, counts[:agent] + (counts[agent] + 1,)
+                               + counts[agent + 1:])
+                    else:
+                        key = (mask2, counts)
+                    acc = successors.get(key)
+                    successors[key] = share if acc is None else acc + share
+        if len(successors) > budget:
+            raise BudgetExceeded(
+                f"count-state frontier reached {len(successors)} states at "
+                f"moment {moment + 1} of {m} (budget {budget})")
+        frontier = successors
+    return _outcome(instance, alloc, "dp")
 
 
 # --- fixed ordering ----------------------------------------------------------
@@ -187,37 +289,31 @@ def _remaining_order(ctx: QueryContext, arrived) -> tuple[int, ...]:
 
 
 def enumerate_fixed_order(ctx: QueryContext) -> OutcomeReport:
-    """Exact outcome under a fixed ordering by exhaustive tree traversal.
+    """Exact outcome under a fixed ordering by the count-state kernel.
 
-    States are merged on identical bundles-per-agent, so the frontier holds
-    one entry per distinct partial allocation.  Raises BudgetExceeded if the
+    Honours a known prefix: its items stay with their owners and the kernel
+    starts from the prefix's bundle sizes.  Raises BudgetExceeded if the
     frontier outgrows ``ctx.budget``.
     """
     owners, counts, arrived = _start_point(ctx)
-    items = _remaining_order(ctx, arrived)
-    bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids, ctx.instance.n, ctx.instance.m)
-    frontier = {owners: ONE}
-    counts_of = {owners: counts}
-    for item in items:
-        frontier, counts_of = _step_frontier(
-            frontier, counts_of, item, positive[item], ctx.mechanism, ctx.budget)
-    return _report(ctx.instance, frontier.items(), "enumeration")
+    _remaining_order(ctx, arrived)  # raises unless the ordering is fixed
+    return _count_state_outcome(ctx, owners, counts, arrived)
 
 
 def allocation_states_after(ctx: QueryContext, rounds: int) -> list[AllocationState]:
     """The merged frontier after the next ``rounds`` fixed-order arrivals.
 
-    Useful for inspecting intermediate allocations (for example, counting the
-    distinct positive-probability allocations with a given shape).  States
-    come back sorted by owner vector, probabilities summing to 1.
+    Steps whole owner vectors rather than bundle sizes, for inspecting
+    intermediate allocations (for example, counting the distinct
+    positive-probability allocations with a given shape).  States come back
+    sorted by owner vector, probabilities summing to 1.
     """
     owners, counts, arrived = _start_point(ctx)
     items = _remaining_order(ctx, arrived)
     if not 0 <= rounds <= len(items):
         raise InputError(f"rounds must be within 0..{len(items)}")
     bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids, ctx.instance.n, ctx.instance.m)
+    positive = _positive_bidders(bids)
     frontier = {owners: ONE}
     counts_of = {owners: counts}
     for item in items[:rounds]:
@@ -258,74 +354,19 @@ def like_closed_form(ctx: QueryContext) -> OutcomeReport:
         share = Fraction(1, len(likers))
         for i in likers:
             alloc[i][item] = share
-    utility = tuple(
-        sum((alloc[i][k] * ctx.instance.utilities[i][k] for k in range(m)), ZERO)
-        for i in range(n))
-    return OutcomeReport(utility, tuple(tuple(row) for row in alloc), "closed-form")
-
-
-def two_agent_dp(ctx: QueryContext) -> OutcomeReport:
-    """O(m) exact outcome for Balanced Like with exactly two agents.
-
-    Item values never matter to feasibility, only bundle sizes do, so with
-    two agents the reachable configurations after every round collapse to at
-    most two count pairs of the form (p, q) and (p-1, q+1).  The loop
-    propagates these pairs with their exact probabilities and reads off each
-    item's allocation probability as it is placed.
-    """
-    if ctx.instance.n != 2:
-        raise WrongArity("the two-agent dynamic program needs exactly 2 agents")
-    if ctx.mechanism is not Mechanism.BALANCED_LIKE:
-        raise UnsupportedQuery("the two-agent dynamic program is for Balanced Like")
-    owners, counts, arrived = _start_point(ctx)
-    items = _remaining_order(ctx, arrived)
-    bids = _bid_rows(ctx)
-    m = ctx.instance.m
-    alloc = [[ZERO] * m for _ in range(2)]
-    for item, owner in enumerate(owners):
-        if owner >= 0:
-            alloc[owner][item] = ONE
-    states: dict[tuple[int, int], Fraction] = {(counts[0], counts[1]): ONE}
-    for item in items:
-        likers = tuple(i for i in range(2) if bids[i][item] > 0)
-        if not likers:
-            continue
-        successors: dict[tuple[int, int], Fraction] = {}
-        for (p, q), prob in states.items():
-            if len(likers) == 1:
-                feas = likers
-            elif p < q:
-                feas = (0,)
-            elif q < p:
-                feas = (1,)
-            else:
-                feas = (0, 1)
-            share = prob / len(feas)
-            for agent in feas:
-                alloc[agent][item] += share
-                succ = (p + 1, q) if agent == 0 else (p, q + 1)
-                successors[succ] = successors.get(succ, ZERO) + share
-        states = successors
-        assert len(states) <= 2, "two-agent frontier grew past 2 states"
-        if len(states) == 2:
-            (lo, hi) = sorted(states)
-            assert lo[0] + 1 == hi[0] and lo[1] - 1 == hi[1], \
-                "two-agent states are not adjacent count pairs"
-    utility = tuple(
-        sum((alloc[i][k] * ctx.instance.utilities[i][k] for k in range(m)), ZERO)
-        for i in range(2))
-    return OutcomeReport(utility, tuple(tuple(row) for row in alloc), "dp")
+    return _outcome(ctx.instance, alloc, "closed-form")
 
 
 # --- stochastic arrivals ------------------------------------------------------
 
 
-def _distribution_columns(dist: Distribution, m: int):
-    """Per-moment positive-support lists [(item, probability), ...]."""
-    return [
-        [(k, dist.matrix[k][j]) for k in range(m) if dist.matrix[k][j] > 0]
-        for j in range(m)
-    ]
+def _require_distribution(ctx: QueryContext) -> None:
+    if ctx.known_prefix is not None:
+        raise UnsupportedQuery(
+            "distribution queries start from the empty allocation; use the "
+            "online queries for known-prefix settings")
+    if not isinstance(ctx.instance.arrival, Distribution):
+        raise UnsupportedQuery("this query needs a distribution arrival model")
 
 
 def _run_distribution(ctx: QueryContext, moments: int):
@@ -334,18 +375,12 @@ def _run_distribution(ctx: QueryContext, moments: int):
     Returns (frontier dict, counts dict, aborted mass).  Aborted mass gathers
     every voided continuation: a no-arrival draw or a repeated item.
     """
-    if ctx.known_prefix is not None:
-        raise UnsupportedQuery(
-            "distribution enumeration starts from scratch; use the online "
-            "queries for known-prefix settings")
-    arrival = ctx.instance.arrival
-    if not isinstance(arrival, Distribution):
-        raise UnsupportedQuery("this query needs a distribution arrival model")
+    _require_distribution(ctx)
     n, m = ctx.instance.n, ctx.instance.m
     bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids, n, m)
-    cols = _distribution_columns(arrival, m)
-    residuals = [ONE - sum((d for _, d in cols[j]), ZERO) for j in range(m)]
+    positive = _positive_bidders(bids)
+    cols = _columns(ctx.instance.arrival)
+    residuals = [ONE - sum((d for _, _, d in cols[j]), ZERO) for j in range(m)]
 
     start = (frozenset(), (-1,) * m)
     frontier: dict = {start: ONE}
@@ -358,7 +393,7 @@ def _run_distribution(ctx: QueryContext, moments: int):
             counts = counts_of[(used, owners)]
             if residuals[j] > 0:
                 aborted += prob * residuals[j]
-            for item, delta in cols[j]:
+            for item, _bit, delta in cols[j]:
                 weight = prob * delta
                 if item in used:
                     aborted += weight
@@ -391,22 +426,19 @@ def _run_distribution(ctx: QueryContext, moments: int):
 
 
 def expected_utility_distribution(ctx: QueryContext) -> OutcomeReport:
-    """Exact outcome when arrivals are drawn from the distribution.
+    """Exact outcome when arrivals are drawn from the distribution, by the
+    count-state kernel.
 
     Only complete repeat-free sequences contribute; all other mass is void
-    and adds zero utility.  Enumeration merges states on (arrived items,
-    bundles), which collapses the order of past arrivals.
+    and adds zero utility.
     """
-    frontier, _counts, aborted = _run_distribution(ctx, ctx.instance.m)
-    survived = sum(frontier.values(), ZERO)
-    assert survived + aborted == 1, "probability mass leaked during enumeration"
-    return _report(ctx.instance,
-                   ((owners, prob) for (_used, owners), prob in frontier.items()),
-                   "enumeration")
+    _require_distribution(ctx)
+    return _count_state_outcome(ctx, *_start_point(ctx))
 
 
 def distribution_states_after(ctx: QueryContext, moments: int):
-    """Merged states after the first ``moments`` draws, plus aborted mass.
+    """Merged owner-level states after the first ``moments`` draws, plus
+    aborted mass.
 
     Returns (list of (arrived frozenset, AllocationState), aborted mass).
     Surviving probabilities plus the aborted mass always sum to exactly 1.
@@ -481,20 +513,17 @@ def online_utilities(ctx: QueryContext) -> tuple[Fraction, ...]:
 def outcome_report(ctx: QueryContext) -> OutcomeReport:
     """Full exact outcome by the cheapest applicable path.
 
-    Precedence: Like closed form, then the two-agent dynamic program, then
-    exhaustive enumeration.  All paths agree exactly.  Known-prefix contexts
-    are served by the online queries instead.
+    Precedence: the Like closed form under a fixed ordering, then the
+    count-state kernel for everything else (method "dp").  Both paths agree
+    exactly.  Known-prefix contexts are served by the online queries instead.
     """
     if ctx.known_prefix is not None:
         raise UnsupportedQuery(
             "known-prefix contexts use online_utilities / next_item_probability")
-    if isinstance(ctx.instance.arrival, FixedOrder):
-        if ctx.mechanism is Mechanism.LIKE:
-            return like_closed_form(ctx)
-        if ctx.instance.n == 2:
-            return two_agent_dp(ctx)
-        return enumerate_fixed_order(ctx)
-    return expected_utility_distribution(ctx)
+    if (isinstance(ctx.instance.arrival, FixedOrder)
+            and ctx.mechanism is Mechanism.LIKE):
+        return like_closed_form(ctx)
+    return _count_state_outcome(ctx, *_start_point(ctx))
 
 
 def exact_utility(ctx: QueryContext, agent: int) -> Fraction:
@@ -509,124 +538,13 @@ def necessary_utility(ctx: QueryContext, agent: int, threshold: Fraction) -> boo
     return exact_utility(ctx, agent) >= threshold
 
 
-def _can_schedule(support, m: int, start: int, used) -> bool:
-    """Can moments start..m-1 each draw a distinct not-yet-arrived item?
-
-    Augmenting-path matching between moments and items over the positive
-    support; this decides whether any non-void completion exists.
-    """
-    matched: dict[int, int] = {}
-
-    def assign(moment: int, visited: set[int]) -> bool:
-        for item in support[moment]:
-            if item in used or item in visited:
-                continue
-            visited.add(item)
-            if item not in matched or assign(matched[item], visited):
-                matched[item] = moment
-                return True
-        return False
-
-    for moment in range(start, m):
-        if not assign(moment, set()):
-            return False
-    return True
-
-
 def possible_utility(ctx: QueryContext, agent: int) -> bool:
     """Is the agent's utility positive with positive probability?
 
-    Like admits a shortcut: the agent is feasible for every item it bids on,
-    so possibility only needs one positively-bid, positively-valued item and
-    one realizable arrival sequence.  Balanced Like is decided by depth-first
-    search that stops at the first positive-probability witness branch.
+    Utilities are non-negative and a void run scores 0, so this is exactly
+    positivity of the expected utility.
     """
-    if ctx.known_prefix is not None:
-        return online_utilities(ctx)[agent] > 0
-    instance = ctx.instance
-    bids = _bid_rows(ctx)
-    n, m = instance.n, instance.m
-    util_row = instance.utilities[agent]
-    targets = [k for k in range(m) if bids[agent][k] > 0 and util_row[k] > 0]
-    if not targets:
-        return False
-    positive = _positive_bidders(bids, n, m)
-    arrival = instance.arrival
-
-    if isinstance(arrival, FixedOrder):
-        if ctx.mechanism is Mechanism.LIKE:
-            return True
-        return _dfs_possible_fixed(ctx, agent, positive, util_row)
-
-    cols = _distribution_columns(arrival, m)
-    support = [[k for k, _ in cols[j]] for j in range(m)]
-    if ctx.mechanism is Mechanism.LIKE:
-        return _can_schedule(support, m, 0, frozenset())
-    return _dfs_possible_distribution(ctx, agent, positive, util_row, support)
-
-
-def _dfs_possible_fixed(ctx, agent, positive, util_row) -> bool:
-    order = ctx.instance.arrival.order
-    budget = ctx.budget
-    visited = 0
-
-    def rec(idx: int, counts) -> bool:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise BudgetExceeded(f"possibility search visited {visited} nodes")
-        if idx == len(order):
-            return False
-        item = order[idx]
-        feas = feasible_for_counts(ctx.mechanism, counts, positive[item])
-        if not feas:
-            return rec(idx + 1, counts)
-        for i in sorted(feas, key=lambda a: a != agent):
-            if i == agent and util_row[item] > 0:
-                return True
-            succ = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-            if rec(idx + 1, succ):
-                return True
-        return False
-
-    return rec(0, (0,) * ctx.instance.n)
-
-
-def _dfs_possible_distribution(ctx, agent, positive, util_row, support) -> bool:
-    m = ctx.instance.m
-    cols = _distribution_columns(ctx.instance.arrival, m)
-    budget = ctx.budget
-    visited = 0
-
-    def rec(j: int, used: frozenset, counts) -> bool:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise BudgetExceeded(f"possibility search visited {visited} nodes")
-        if j == m:
-            return False
-        if not _can_schedule(support, m, j, used):
-            return False
-        for item, _delta in cols[j]:
-            if item in used:
-                continue
-            used2 = used | {item}
-            feas = feasible_for_counts(ctx.mechanism, counts, positive[item])
-            if not feas:
-                if rec(j + 1, used2, counts):
-                    return True
-                continue
-            for i in sorted(feas, key=lambda a: a != agent):
-                if i == agent and util_row[item] > 0:
-                    if _can_schedule(support, m, j + 1, used2):
-                        return True
-                    continue
-                succ = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-                if rec(j + 1, used2, succ):
-                    return True
-        return False
-
-    return rec(0, frozenset(), (0,) * ctx.instance.n)
+    return exact_utility(ctx, agent) > 0
 
 
 def possible_item(ctx: QueryContext, agent: int, item: int) -> bool:
@@ -691,7 +609,7 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
     instance = ctx.instance
     n, m = instance.n, instance.m
     bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids, n, m)
+    positive = _positive_bidders(bids)
     util = [[float(u) for u in row] for row in instance.utilities]
     rng = random.Random(seed)
     mechanism = ctx.mechanism

@@ -43,13 +43,13 @@ from onlinefair import (
     reduction2_manip_instance,
     reduction3_instance,
     reduction3_roles,
-    two_agent_dp,
     utilities_under_deviation,
     NoPositiveBranch,
 )
 
 from helpers import (
     exact_variance,
+    naive_fixed_order_outcome,
     random_distribution_instance,
     random_fixed_instance,
 )
@@ -89,19 +89,19 @@ def test_02_two_agent_dp_matches_enumeration():
         inst = random_fixed_instance(rng, 2, rng.randint(1, 12),
                                      rational=trial % 2)
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
-        # the DP asserts its own frontier stays at <= 2 states every round
-        fast = two_agent_dp(ctx)
-        slow = enumerate_fixed_order(ctx)
-        ok = ok and fast.expected_utility == slow.expected_utility \
-            and fast.allocation_probability == slow.allocation_probability
+        report = outcome_report(ctx)
+        utility, alloc = naive_fixed_order_outcome(inst, Mechanism.BALANCED_LIKE)
+        ok = ok and report.method == "dp" \
+            and list(report.expected_utility) == utility \
+            and [list(r) for r in report.allocation_probability] == alloc
         if trial % 10 == 0:
             for rounds in range(inst.m + 1):
                 states = allocation_states_after(ctx, rounds)
                 ok = ok and len({s.counts for s in states}) <= 2
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10
-    _report(2, "two-agent DP equals enumeration on 200 random instances, "
-            "frontier <= 2 count pairs per round", ok,
+    _report(2, "two-agent Balanced Like outcomes equal the naive oracle on "
+            "200 random instances, frontier <= 2 count pairs per round", ok,
             f" ({elapsed:.1f}s < 10s)")
 
 

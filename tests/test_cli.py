@@ -314,3 +314,49 @@ class TestExitCodes:
         b = run_cli(capsys, "outcome", pair_instance, "--query", "exact",
                     "--mechanism", "like", "--agent", "2")
         assert a == b
+
+
+PAIR = {
+    "agents": 2,
+    "items": 2,
+    "utilities": [["1", "1"], ["1", "1"]],
+    "arrival": {"type": "order", "order": [1, 2]},
+}
+
+
+class TestStrictInputTypes:
+    """Wrongly typed JSON is an input error (exit 2), never misparsed and
+    never a traceback."""
+
+    @pytest.mark.parametrize("changes", [
+        {"utilities": [["1", "1"], "12"]},       # would iterate as ["1", "2"]
+        {"utilities": 12},
+        {"arrival": [1, 2]},
+        {"arrival": {"type": "distribution", "matrix": ["10", "01"]}},
+        {"agents": True, "utilities": [["1", "1"]]},
+    ])
+    def test_instance(self, capsys, tmp_path, changes):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**PAIR, **changes}))
+        code, out, err = run_cli(capsys, "outcome", str(path), "--query",
+                                 "exact", "--mechanism", "like", "--agent", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("prefix", [
+        {"arrived": "1", "bundles": [[1], []]},
+        {"arrived": ["1"], "bundles": [[1], []]},
+        {"arrived": [1.5], "bundles": [[1], []]},
+        {"arrived": [1], "bundles": ["1", []]},
+        {"arrived": [1], "bundles": [[True], []]},
+    ])
+    def test_prefix(self, capsys, pair_instance, tmp_path, prefix):
+        path = tmp_path / "prefix.json"
+        path.write_text(json.dumps(prefix))
+        code, out, err = run_cli(capsys, "outcome", pair_instance, "--query",
+                                 "exact", "--mechanism", "balanced-like",
+                                 "--agent", "1", "--prefix", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

@@ -16,7 +16,6 @@ from onlinefair import (
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,
-    WrongArity,
     allocation_states_after,
     distribution_states_after,
     enumerate_fixed_order,
@@ -31,7 +30,6 @@ from onlinefair import (
     outcome_report,
     possible_item,
     possible_utility,
-    two_agent_dp,
 )
 
 from helpers import (
@@ -80,6 +78,21 @@ def distribution_instances(draw, max_n=3, max_m=3):
     return Instance(n, m, tuple(tuple(r) for r in rows), Distribution(matrix))
 
 
+@st.composite
+def with_bids(draw, instances):
+    """An instance plus a bid profile drawn independently of its utilities."""
+    inst = draw(instances)
+    entry = st.sampled_from([F(0), F(1), F(2, 3)])
+    rows = draw(st.lists(st.lists(entry, min_size=inst.m, max_size=inst.m),
+                         min_size=inst.n, max_size=inst.n))
+    return inst, tuple(tuple(r) for r in rows)
+
+
+def random_bids(rng, inst):
+    return tuple(tuple(F(rng.randint(0, 1)) for _ in range(inst.m))
+                 for _ in range(inst.n))
+
+
 class TestFixedOrderEnumeration:
     def test_two_all_ones_balanced(self):
         # after the first item lands, the other agent is the unique feasible
@@ -88,7 +101,7 @@ class TestFixedOrderEnumeration:
         report = enumerate_fixed_order(QueryContext(inst, Mechanism.BALANCED_LIKE))
         assert report.expected_utility == (F(1), F(1))
         assert report.allocation_probability[0][1] == F(1, 2)
-        assert report.method == "enumeration"
+        assert report.method == "dp"
 
     def test_two_all_ones_like(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
@@ -117,10 +130,29 @@ class TestFixedOrderEnumeration:
         assert report.expected_utility == (F(0), F(1))
 
     def test_budget_exceeded(self):
+        # the first arrival already splits into three bundle-size vectors;
+        # under Like sizes are dropped and the frontier stays at one state
         inst = all_ones(3, 4, FixedOrder((0, 1, 2, 3)))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded,
+                           match=r"3 states at moment 1 of 4 \(budget 2\)"):
             enumerate_fixed_order(
-                QueryContext(inst, Mechanism.LIKE, budget=2))
+                QueryContext(inst, Mechanism.BALANCED_LIKE, budget=2))
+        report = enumerate_fixed_order(
+            QueryContext(inst, Mechanism.LIKE, budget=1))
+        assert report.expected_utility == (F(4, 3),) * 3
+
+    def test_deep_instance_runs_without_recursion(self):
+        # two agents alternate over 2999 items; the third, holding nothing,
+        # is the unique feasible bidder for the last one
+        m = 3000
+        everything = tuple(F(1) for _ in range(m))
+        last_only = tuple(F(int(k == m - 1)) for k in range(m))
+        inst = Instance(3, m, (everything, everything, last_only),
+                        FixedOrder(tuple(range(m))))
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        assert possible_utility(ctx, 2)
+        assert exact_utility(ctx, 2) == F(1)
+        assert exact_utility(ctx, 0) == F(2999, 2)
 
     def test_states_after_partial_round(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
@@ -166,39 +198,30 @@ class TestLikeClosedForm:
 
 
 class TestTwoAgentDp:
+    """Two-agent Balanced Like runs through the count-state kernel."""
+
     def test_single_liker_runs_single_state(self):
         inst = Instance(2, 3, ((F(1), F(1), F(1)), (F(0), F(0), F(0))),
                         FixedOrder((0, 1, 2)))
-        report = two_agent_dp(QueryContext(inst, Mechanism.BALANCED_LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
         assert report.expected_utility == (F(3), F(0))
         assert all(report.allocation_probability[0][k] == F(1) for k in range(3))
 
     def test_alternation_on_all_ones(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
-        report = two_agent_dp(QueryContext(inst, Mechanism.BALANCED_LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
         assert report.expected_utility == (F(1), F(1))
         assert report.method == "dp"
-
-    def test_wrong_arity(self):
-        inst = all_ones(3, 2, FixedOrder((0, 1)))
-        with pytest.raises(WrongArity):
-            two_agent_dp(QueryContext(inst, Mechanism.BALANCED_LIKE))
-
-    def test_wrong_mechanism(self):
-        inst = all_ones(2, 2, FixedOrder((0, 1)))
-        with pytest.raises(UnsupportedQuery):
-            two_agent_dp(QueryContext(inst, Mechanism.LIKE))
 
     @settings(max_examples=60, deadline=None)
     @given(fixed_instances(max_n=2, max_m=8, rational=True))
     def test_equals_enumeration(self, inst):
         if inst.n != 2:
             inst = Instance(2, inst.m, (inst.utilities * 2)[:2], inst.arrival)
-        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
-        fast = two_agent_dp(ctx)
-        slow = enumerate_fixed_order(ctx)
-        assert fast.expected_utility == slow.expected_utility
-        assert fast.allocation_probability == slow.allocation_probability
+        report = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
+        utility, alloc = naive_fixed_order_outcome(inst, Mechanism.BALANCED_LIKE)
+        assert list(report.expected_utility) == utility
+        assert [list(r) for r in report.allocation_probability] == alloc
 
 
 class TestDistribution:
@@ -258,11 +281,29 @@ class TestDispatcher:
             == "dp"
         three = all_ones(3, 2, FixedOrder((0, 1)))
         assert outcome_report(QueryContext(three, Mechanism.BALANCED_LIKE)).method \
-            == "enumeration"
+            == "dp"
         matrix = ((F(1), F(0)), (F(0), F(1)))
         stoch = all_ones(2, 2, Distribution(matrix))
         assert outcome_report(QueryContext(stoch, Mechanism.LIKE)).method \
-            == "enumeration"
+            == "dp"
+
+    @settings(max_examples=80, deadline=None)
+    @given(with_bids(fixed_instances(rational=True)), st.sampled_from(list(Mechanism)))
+    def test_fixed_order_matches_naive_oracle(self, case, mechanism):
+        inst, bids = case
+        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        utility, alloc = naive_fixed_order_outcome(inst, mechanism, bids)
+        assert list(report.expected_utility) == utility
+        assert [list(r) for r in report.allocation_probability] == alloc
+
+    @settings(max_examples=80, deadline=None)
+    @given(with_bids(distribution_instances()), st.sampled_from(list(Mechanism)))
+    def test_distribution_matches_naive_oracle(self, case, mechanism):
+        inst, bids = case
+        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        utility, alloc = naive_distribution_outcome(inst, mechanism, bids)
+        assert list(report.expected_utility) == utility
+        assert [list(r) for r in report.allocation_probability] == alloc
 
     def test_necessary_is_threshold_on_exact(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
@@ -347,29 +388,32 @@ class TestOnlineQueries:
 class TestPossibility:
     def test_matches_exact_positivity_fixed(self):
         rng = random.Random(31)
-        for _ in range(80):
+        for trial in range(80):
             inst = random_fixed_instance(rng, rng.randint(1, 3), rng.randint(1, 4))
+            bids = random_bids(rng, inst) if trial % 2 else None
             for mechanism in Mechanism:
-                ctx = QueryContext(inst, mechanism)
-                report = outcome_report(ctx)
+                ctx = QueryContext(inst, mechanism, bids and BidProfile(bids))
+                utility, alloc = naive_fixed_order_outcome(inst, mechanism, bids)
                 for agent in range(inst.n):
-                    assert possible_utility(ctx, agent) \
-                        == (report.expected_utility[agent] > 0)
+                    assert possible_utility(ctx, agent) == (utility[agent] > 0)
                     for item in range(inst.m):
                         assert possible_item(ctx, agent, item) \
-                            == (report.allocation_probability[agent][item] > 0)
+                            == (alloc[agent][item] > 0)
 
     def test_matches_exact_positivity_distribution(self):
         rng = random.Random(32)
-        for _ in range(40):
+        for trial in range(40):
             inst = random_distribution_instance(rng, rng.randint(1, 3),
                                                 rng.randint(1, 3))
+            bids = random_bids(rng, inst) if trial % 2 else None
             for mechanism in Mechanism:
-                ctx = QueryContext(inst, mechanism)
-                report = outcome_report(ctx)
+                ctx = QueryContext(inst, mechanism, bids and BidProfile(bids))
+                utility, alloc = naive_distribution_outcome(inst, mechanism, bids)
                 for agent in range(inst.n):
-                    assert possible_utility(ctx, agent) \
-                        == (report.expected_utility[agent] > 0)
+                    assert possible_utility(ctx, agent) == (utility[agent] > 0)
+                    for item in range(inst.m):
+                        assert possible_item(ctx, agent, item) \
+                            == (alloc[agent][item] > 0)
 
     def test_like_needs_a_completable_sequence(self):
         # both moments can only reveal the first item, so every run aborts
