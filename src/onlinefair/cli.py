@@ -60,6 +60,7 @@ from .generators import (
     subset_sum_bc,
 )
 from .manipulation import (
+    DEFAULT_SEARCH_MAX_ITEMS,
     ManipulationQuery,
     best_response_search,
     exact_manipulation_gain,
@@ -107,7 +108,7 @@ def _load_instance(path: str):
     return instance_from_json_dict(data)
 
 
-def _load_prefix(data: dict, n: int) -> tuple[tuple[int, ...], AllocationState]:
+def _load_prefix(data: dict, n: int, m: int) -> tuple[tuple[int, ...], AllocationState]:
     if not isinstance(data, dict):
         raise InputError(f"a prefix must be a JSON object, got {type(data).__name__}")
     try:
@@ -115,12 +116,12 @@ def _load_prefix(data: dict, n: int) -> tuple[tuple[int, ...], AllocationState]:
         raw_bundles = data["bundles"]
     except KeyError as exc:
         raise InputError(f"missing prefix field: {exc}") from exc
-    arrived = tuple(json_int(k, "arrived item") - 1
+    arrived = tuple(_item_index(json_int(k, "arrived item"), m)
                     for k in json_list(raw_arrived, "arrived"))
     raw_bundles = json_list(raw_bundles, "bundles")
     if len(raw_bundles) != n:
         raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
-    bundles = tuple(frozenset(json_int(k, "bundle item") - 1
+    bundles = tuple(frozenset(_item_index(json_int(k, "bundle item"), m)
                               for k in json_list(bundle, "bundle"))
                     for bundle in raw_bundles)
     probability = parse_rational(data.get("probability", 1))
@@ -166,7 +167,7 @@ def _context(args) -> QueryContext:
     mechanism = Mechanism.from_string(args.mechanism)
     prefix = None
     if getattr(args, "prefix", None):
-        prefix = _load_prefix(_load_json(args.prefix), instance.n)
+        prefix = _load_prefix(_load_json(args.prefix), instance.n, instance.m)
     return QueryContext(instance, mechanism, known_prefix=prefix, budget=_budget())
 
 
@@ -242,21 +243,23 @@ def _run_manipulate(args) -> dict:
     if not args.deviation:
         raise InputError(f"--deviation FILE is required for mode {args.mode!r}")
     data = _load_json(args.deviation)
-    if isinstance(data, list):
-        deviation_row, sincere_row = data, None
-    else:
+    if isinstance(data, dict):
         try:
             deviation_row = data["bids"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InputError(
                 "deviation file must be a list of rationals or "
                 "{\"bids\": [...]}") from exc
         sincere_row = data.get("sincere")
+    else:
+        deviation_row, sincere_row = data, None
     query = ManipulationQuery(
         instance, mechanism, agent,
-        deviation=tuple(parse_rational(x) for x in deviation_row),
+        deviation=tuple(parse_rational(x)
+                        for x in json_list(deviation_row, "deviation bids")),
         sincere=(None if sincere_row is None
-                 else tuple(parse_rational(x) for x in sincere_row)),
+                 else tuple(parse_rational(x)
+                            for x in json_list(sincere_row, "sincere bids"))),
         threshold=parse_rational(args.threshold) if args.threshold else Fraction(0),
     )
     sincere_value, deviated_value = utilities_under_deviation(query)
@@ -368,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     manipulate.add_argument("--threshold", help="rational gain threshold p/q")
     manipulate.add_argument("--strict", action="store_true",
                             help="require a strictly larger gain")
-    manipulate.add_argument("--max-items", type=int, default=12,
+    manipulate.add_argument("--max-items", type=int,
+                            default=DEFAULT_SEARCH_MAX_ITEMS,
                             help="cap on items for exhaustive search")
     manipulate.set_defaults(handler=_run_manipulate)
 

@@ -8,15 +8,18 @@ Three information settings are supported:
 * a prefix of arrivals and its allocation are known and nothing is known
   about future items (``QueryContext.known_prefix``).
 
-Balanced Like gives an item to the positive bidders holding the fewest
-items, so feasibility reads only bundle sizes.  Exact outcomes therefore come
-from one count-state kernel: its frontier maps (arrived-item bitmask,
-bundle-size vector) to the probability of reaching it, and each item's
-allocation probability is added while the item is placed.  Like ignores
-bundle sizes, so under Like the size vector is dropped.  A fixed ordering
-enters the kernel as one unit arrival column per moment.  Like under a fixed
-ordering also has an O(n*m) closed form.  Possibility is positivity of the
-exact answer, and necessity is a threshold on it.
+Every arrival model is read as one column per moment (``_columns``): a fixed
+ordering is one certain item per moment, a distribution a column of arrival
+probabilities.  Three loops step over these columns.  The count-state kernel
+gives every exact outcome: Balanced Like gives an item to the positive
+bidders holding the fewest items, so its frontier maps (arrived-item
+bitmask, bundle-size vector) to reach probability, Like drops the sizes, and
+each item's allocation probability is added while it is placed.  The
+owner-level stepper keys its frontier on (arrived mask, owner vector) to
+expose intermediate allocations.  The Monte Carlo sampler draws every
+uncertain column once per sample.  Like under a fixed ordering also has an
+O(n*m) closed form.  Possibility is positivity of the exact answer, and
+necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -29,6 +32,7 @@ arrived items.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,35 +138,6 @@ def _start_point(ctx: QueryContext):
         for item in bundle:
             owners[item] = agent
     return tuple(owners), state.counts, arrived
-
-
-def _step_frontier(frontier, counts_of, item, positive, mechanism, budget):
-    """Advance a bundle-merged frontier by one fixed arriving item."""
-    new_frontier: dict = {}
-    new_counts: dict = {}
-    for owners, prob in frontier.items():
-        counts = counts_of[owners]
-        feas = feasible_for_counts(mechanism, counts, positive)
-        if not feas:
-            acc = new_frontier.get(owners)
-            new_frontier[owners] = prob if acc is None else acc + prob
-            new_counts[owners] = counts
-            continue
-        share = prob / len(feas)
-        for agent in feas:
-            succ = owners[:item] + (agent,) + owners[item + 1:]
-            acc = new_frontier.get(succ)
-            if acc is None:
-                new_frontier[succ] = share
-                new_counts[succ] = (counts[:agent] + (counts[agent] + 1,)
-                                    + counts[agent + 1:])
-            else:
-                new_frontier[succ] = acc + share
-    if len(new_frontier) > budget:
-        raise BudgetExceeded(
-            f"enumeration frontier reached {len(new_frontier)} states "
-            f"(budget {budget})")
-    return new_frontier, new_counts
 
 
 def _outcome(instance: Instance, alloc, method: str) -> OutcomeReport:
@@ -278,6 +253,69 @@ def _count_state_outcome(ctx: QueryContext, owners, counts, arrived) -> OutcomeR
     return _outcome(instance, alloc, "dp")
 
 
+def _owner_frontier(ctx: QueryContext, moments: int, owners, counts, arrived):
+    """Owner-level frontier after the next ``moments`` arrivals, from a start
+    point as returned by ``_start_point``.
+
+    The frontier maps (arrived mask, owner vector) to the probability of
+    reaching it without a void; bundle sizes ride along in a side dict.
+    Returns (frontier, void mass); the void mass gathers every no-arrival
+    draw and repeated item, so it is zero for a fixed ordering.
+    """
+    mechanism, budget, m = ctx.mechanism, ctx.budget, ctx.instance.m
+    positive = _positive_bidders(_bid_rows(ctx))
+    columns = _columns(ctx.instance.arrival)
+    start = (sum(1 << item for item in arrived), owners)
+    frontier = {start: ONE}
+    counts_of = {start: counts}
+    void = ZERO
+    for moment in range(len(arrived), len(arrived) + moments):
+        column = columns[moment]
+        residual = ONE - sum((delta for _item, _bit, delta in column), ZERO)
+        successors: dict = {}
+        sizes: dict = {}
+        for (mask, owners), prob in frontier.items():
+            counts = counts_of[mask, owners]
+            if residual:
+                void += prob * residual
+            for item, bit, delta in column:
+                weight = prob if delta == 1 else prob * delta
+                if mask & bit:
+                    void += weight
+                    continue
+                feas = feasible_for_counts(mechanism, counts, positive[item])
+                if not feas:
+                    succ = (mask | bit, owners)
+                    acc = successors.get(succ)
+                    successors[succ] = weight if acc is None else acc + weight
+                    sizes[succ] = counts
+                    continue
+                share = weight / len(feas)
+                for agent in feas:
+                    succ = (mask | bit, owners[:item] + (agent,) + owners[item + 1:])
+                    acc = successors.get(succ)
+                    if acc is None:
+                        successors[succ] = share
+                        sizes[succ] = (counts[:agent] + (counts[agent] + 1,)
+                                       + counts[agent + 1:])
+                    else:
+                        successors[succ] = acc + share
+        if len(successors) > budget:
+            raise BudgetExceeded(
+                f"owner-level frontier reached {len(successors)} states at "
+                f"moment {moment + 1} of {m} (budget {budget})")
+        frontier, counts_of = successors, sizes
+    return frontier, void
+
+
+def _allocation_state(owners, n: int, probability: Fraction) -> AllocationState:
+    bundles = [set() for _ in range(n)]
+    for item, owner in enumerate(owners):
+        if owner >= 0:
+            bundles[owner].add(item)
+    return AllocationState(tuple(frozenset(b) for b in bundles), probability)
+
+
 # --- fixed ordering ----------------------------------------------------------
 
 
@@ -301,33 +339,19 @@ def enumerate_fixed_order(ctx: QueryContext) -> OutcomeReport:
 
 
 def allocation_states_after(ctx: QueryContext, rounds: int) -> list[AllocationState]:
-    """The merged frontier after the next ``rounds`` fixed-order arrivals.
-
-    Steps whole owner vectors rather than bundle sizes, for inspecting
-    intermediate allocations (for example, counting the distinct
-    positive-probability allocations with a given shape).  States come back
-    sorted by owner vector, probabilities summing to 1.
+    """The merged owner-level frontier after the next ``rounds`` fixed-order
+    arrivals, for example to count the distinct positive-probability
+    allocations with a given shape.  States come back sorted by owner
+    vector, probabilities summing to 1.
     """
     owners, counts, arrived = _start_point(ctx)
     items = _remaining_order(ctx, arrived)
     if not 0 <= rounds <= len(items):
         raise InputError(f"rounds must be within 0..{len(items)}")
-    bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids)
-    frontier = {owners: ONE}
-    counts_of = {owners: counts}
-    for item in items[:rounds]:
-        frontier, counts_of = _step_frontier(
-            frontier, counts_of, item, positive[item], ctx.mechanism, ctx.budget)
-    states = []
-    for owner_vec in sorted(frontier):
-        bundles = [set() for _ in range(ctx.instance.n)]
-        for item, owner in enumerate(owner_vec):
-            if owner >= 0:
-                bundles[owner].add(item)
-        states.append(AllocationState(tuple(frozenset(b) for b in bundles),
-                                      frontier[owner_vec]))
-    return states
+    frontier, _void = _owner_frontier(ctx, rounds, owners, counts, arrived)
+    # every state has the same arrived mask, so this sorts by owner vector
+    return [_allocation_state(owner_vec, ctx.instance.n, prob)
+            for (_mask, owner_vec), prob in sorted(frontier.items())]
 
 
 def like_closed_form(ctx: QueryContext) -> OutcomeReport:
@@ -341,19 +365,15 @@ def like_closed_form(ctx: QueryContext) -> OutcomeReport:
         raise UnsupportedQuery("closed form applies to the Like mechanism only")
     owners, _counts, arrived = _start_point(ctx)
     items = _remaining_order(ctx, arrived)
-    bids = _bid_rows(ctx)
+    positive = _positive_bidders(_bid_rows(ctx))
     n, m = ctx.instance.n, ctx.instance.m
     alloc = [[ZERO] * m for _ in range(n)]
     for item, owner in enumerate(owners):
         if owner >= 0:
             alloc[owner][item] = ONE
     for item in items:
-        likers = [i for i in range(n) if bids[i][item] > 0]
-        if not likers:
-            continue
-        share = Fraction(1, len(likers))
-        for i in likers:
-            alloc[i][item] = share
+        for i in positive[item]:
+            alloc[i][item] = Fraction(1, len(positive[item]))
     return _outcome(ctx.instance, alloc, "closed-form")
 
 
@@ -367,62 +387,6 @@ def _require_distribution(ctx: QueryContext) -> None:
             "online queries for known-prefix settings")
     if not isinstance(ctx.instance.arrival, Distribution):
         raise UnsupportedQuery("this query needs a distribution arrival model")
-
-
-def _run_distribution(ctx: QueryContext, moments: int):
-    """Frontier over (arrived set, owner vector) pairs after ``moments`` draws.
-
-    Returns (frontier dict, counts dict, aborted mass).  Aborted mass gathers
-    every voided continuation: a no-arrival draw or a repeated item.
-    """
-    _require_distribution(ctx)
-    n, m = ctx.instance.n, ctx.instance.m
-    bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids)
-    cols = _columns(ctx.instance.arrival)
-    residuals = [ONE - sum((d for _, _, d in cols[j]), ZERO) for j in range(m)]
-
-    start = (frozenset(), (-1,) * m)
-    frontier: dict = {start: ONE}
-    counts_of: dict = {start: (0,) * n}
-    aborted = ZERO
-    for j in range(moments):
-        new_frontier: dict = {}
-        new_counts: dict = {}
-        for (used, owners), prob in frontier.items():
-            counts = counts_of[(used, owners)]
-            if residuals[j] > 0:
-                aborted += prob * residuals[j]
-            for item, _bit, delta in cols[j]:
-                weight = prob * delta
-                if item in used:
-                    aborted += weight
-                    continue
-                used2 = used | {item}
-                feas = feasible_for_counts(ctx.mechanism, counts, positive[item])
-                if not feas:
-                    key = (used2, owners)
-                    acc = new_frontier.get(key)
-                    new_frontier[key] = weight if acc is None else acc + weight
-                    new_counts[key] = counts
-                    continue
-                share = weight / len(feas)
-                for agent in feas:
-                    succ = owners[:item] + (agent,) + owners[item + 1:]
-                    key = (used2, succ)
-                    acc = new_frontier.get(key)
-                    if acc is None:
-                        new_frontier[key] = share
-                        new_counts[key] = (counts[:agent] + (counts[agent] + 1,)
-                                           + counts[agent + 1:])
-                    else:
-                        new_frontier[key] = acc + share
-        if len(new_frontier) > ctx.budget:
-            raise BudgetExceeded(
-                f"distribution support reached {len(new_frontier)} states "
-                f"(budget {ctx.budget})")
-        frontier, counts_of = new_frontier, new_counts
-    return frontier, counts_of, aborted
 
 
 def expected_utility_distribution(ctx: QueryContext) -> OutcomeReport:
@@ -440,21 +404,19 @@ def distribution_states_after(ctx: QueryContext, moments: int):
     """Merged owner-level states after the first ``moments`` draws, plus
     aborted mass.
 
-    Returns (list of (arrived frozenset, AllocationState), aborted mass).
-    Surviving probabilities plus the aborted mass always sum to exactly 1.
+    Returns (list of (arrived frozenset, AllocationState), aborted mass),
+    sorted by arrived items, then owner vector.  Surviving probabilities plus
+    the aborted mass always sum to exactly 1.
     """
     if not 0 <= moments <= ctx.instance.m:
         raise InputError(f"moments must be within 0..{ctx.instance.m}")
-    frontier, _counts, aborted = _run_distribution(ctx, moments)
-    out = []
-    for used, owners in sorted(frontier, key=lambda key: (sorted(key[0]), key[1])):
-        bundles = [set() for _ in range(ctx.instance.n)]
-        for item, owner in enumerate(owners):
-            if owner >= 0:
-                bundles[owner].add(item)
-        out.append((used, AllocationState(tuple(frozenset(b) for b in bundles),
-                                          frontier[(used, owners)])))
-    return out, aborted
+    _require_distribution(ctx)
+    frontier, aborted = _owner_frontier(ctx, moments, *_start_point(ctx))
+    states = sorted(
+        ([k for k in range(ctx.instance.m) if mask >> k & 1], owners, prob)
+        for (mask, owners), prob in frontier.items())
+    return [(frozenset(used), _allocation_state(owners, ctx.instance.n, prob))
+            for used, owners, prob in states], aborted
 
 
 # --- the online (known prefix) setting ---------------------------------------
@@ -471,29 +433,15 @@ def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
     if ctx.known_prefix is None:
         raise UnsupportedQuery("next_item_probability needs a known prefix")
     arrived, state = _checked_prefix(ctx)
-    n, m = ctx.instance.n, ctx.instance.m
-    j = len(arrived)
-    bids = _bid_rows(ctx)
-    arrival = ctx.instance.arrival
-    if j >= m:
-        column: list[tuple[int, Fraction]] = []
-    elif isinstance(arrival, FixedOrder):
-        column = [(arrival.order[j], ONE)]
-    else:
-        column = [(k, arrival.matrix[k][j]) for k in range(m)
-                  if arrival.matrix[k][j] > 0]
-    used = set(arrived)
-    result = [ZERO] * n
-    for item, delta in column:
-        if item in used:
-            continue
-        positive = tuple(i for i in range(n) if bids[i][item] > 0)
-        feas = feasible_for_counts(ctx.mechanism, state.counts, positive)
-        if not feas:
-            continue
-        share = delta / len(feas)
-        for agent in feas:
-            result[agent] += share
+    positive = _positive_bidders(_bid_rows(ctx))
+    result = [ZERO] * ctx.instance.n
+    for column in _columns(ctx.instance.arrival)[len(arrived):len(arrived) + 1]:
+        for item, _bit, delta in column:
+            if item in arrived:
+                continue
+            feas = feasible_for_counts(ctx.mechanism, state.counts, positive[item])
+            for agent in feas:
+                result[agent] += delta / len(feas)
     return tuple(result)
 
 
@@ -576,23 +524,13 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     of each moment's smallest positive arrival entry times (1/n)^m bounds
     every positive branch from below.  A conservative bound, never zero.
     """
-    instance = ctx.instance
-    bids = _bid_rows(ctx)
-    if all(bids[agent][k] <= 0 for k in range(instance.m)):
+    if not any(agent in bidders for bidders in _positive_bidders(_bid_rows(ctx))):
         raise NoPositiveBranch(f"agent {agent} bids positively on nothing")
-    product = ONE
-    arrival = instance.arrival
-    if isinstance(arrival, Distribution):
-        any_mass = False
-        for j in range(instance.m):
-            entries = [arrival.matrix[k][j] for k in range(instance.m)
-                       if arrival.matrix[k][j] > 0]
-            if entries:
-                any_mass = True
-                product *= min(entries)
-        if not any_mass:
-            raise NoPositiveBranch("no item ever arrives under this distribution")
-    return product * Fraction(1, instance.n) ** instance.m
+    floors = [min(delta for _item, _bit, delta in column)
+              for column in _columns(ctx.instance.arrival) if column]
+    if not floors:
+        raise NoPositiveBranch("no item ever arrives under this distribution")
+    return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m
 
 
 def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[float]:
@@ -606,85 +544,57 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
     """
     if samples < 1:
         raise InputError("samples must be positive")
-    instance = ctx.instance
-    n, m = instance.n, instance.m
-    bids = _bid_rows(ctx)
-    positive = _positive_bidders(bids)
-    util = [[float(u) for u in row] for row in instance.utilities]
-    rng = random.Random(seed)
-    mechanism = ctx.mechanism
-
-    if ctx.known_prefix is not None:
-        arrived, state = _checked_prefix(ctx)
+    instance, mechanism = ctx.instance, ctx.mechanism
+    n = instance.n
+    positive = _positive_bidders(_bid_rows(ctx))
+    _owners, start_counts, arrived = _start_point(ctx)
+    columns = _columns(instance.arrival)[len(arrived):]
+    if ctx.known_prefix is None:
+        held = [0.0] * n
+        credit = [[float(u) for u in row] for row in instance.utilities]
+    else:
+        columns = columns[:1]
+        state = ctx.known_prefix[1]
         held = [float(state.utility_of(i, instance.utilities)) for i in range(n)]
-        j = len(arrived)
-        used = set(arrived)
-        if j >= m:
-            column: list[tuple[int, float]] = []
-        elif isinstance(instance.arrival, FixedOrder):
-            column = [(instance.arrival.order[j], 1.0)]
+        credit = [[1.0] * instance.m for _ in range(n)]
+    # A certain column whose item is fresh takes no draw: its item is set in
+    # ``sequence`` once, and a draw landing on it voids the run.
+    fixed_mask = sum(1 << item for item in arrived)
+    sequence = [-1] * len(columns)
+    draws = []
+    for moment, column in enumerate(columns):
+        if len(column) == 1 and column[0][2] == 1 and not fixed_mask & column[0][1]:
+            fixed_mask |= column[0][1]
+            sequence[moment] = column[0][0]
         else:
-            column = [(k, float(instance.arrival.matrix[k][j])) for k in range(m)
-                      if instance.arrival.matrix[k][j] > 0]
-        wins = [0] * n
-        for _ in range(samples):
+            draws.append((moment, [(item, float(delta)) for item, _bit, delta in column]))
+    rng = random.Random(seed)
+    totals = [0.0] * n
+    for _ in range(samples):
+        mask = fixed_mask
+        for moment, entries in draws:
             draw = rng.random()
             acc = 0.0
             landed = -1
-            for item, p in column:
+            for item, p in entries:
                 acc += p
                 if draw < acc:
                     landed = item
                     break
-            if landed < 0 or landed in used:
-                continue
-            feas = feasible_for_counts(mechanism, state.counts, positive[landed])
-            if not feas:
-                continue
-            wins[feas[rng.randrange(len(feas))]] += 1
-        return [held[i] + wins[i] / samples for i in range(n)]
-
-    if isinstance(instance.arrival, FixedOrder):
-        fixed_seq = instance.arrival.order
-        columns = None
-    else:
-        fixed_seq = None
-        columns = [[(k, float(instance.arrival.matrix[k][j])) for k in range(m)
-                    if instance.arrival.matrix[k][j] > 0] for j in range(m)]
-
-    totals = [0.0] * n
-    for _ in range(samples):
-        if fixed_seq is not None:
-            sequence = fixed_seq
+            if landed < 0 or mask >> landed & 1:
+                break
+            mask |= 1 << landed
+            sequence[moment] = landed
         else:
-            sequence = []
-            used = set()
-            void = False
-            for j in range(m):
-                draw = rng.random()
-                acc = 0.0
-                landed = -1
-                for item, p in columns[j]:
-                    acc += p
-                    if draw < acc:
-                        landed = item
-                        break
-                if landed < 0 or landed in used:
-                    void = True
-                    break
-                used.add(landed)
-                sequence.append(landed)
-            if void:
-                continue
-        counts = [0] * n
-        gains = [0.0] * n
-        for item in sequence:
-            feas = feasible_for_counts(mechanism, counts, positive[item])
-            if not feas:
-                continue
-            winner = feas[rng.randrange(len(feas))] if len(feas) > 1 else feas[0]
-            counts[winner] += 1
-            gains[winner] += util[winner][item]
-        for i in range(n):
-            totals[i] += gains[i]
-    return [t / samples for t in totals]
+            counts = list(start_counts)
+            gains = [0.0] * n
+            for item in sequence:
+                feas = feasible_for_counts(mechanism, counts, positive[item])
+                if not feas:
+                    continue
+                winner = feas[rng.randrange(len(feas))] if len(feas) > 1 else feas[0]
+                counts[winner] += 1
+                gains[winner] += credit[winner][item]
+            for i in range(n):
+                totals[i] += gains[i]
+    return [held[i] + totals[i] / samples for i in range(n)]

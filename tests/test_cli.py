@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from onlinefair.cli import main
 
@@ -88,6 +89,21 @@ class TestOutcome:
                        "possible", "--mechanism", "like", "--agent", "1",
                        "--item", "1")
         assert out["answer"] is False
+
+    @pytest.mark.parametrize("prefix, message", [
+        ({"arrived": [0], "bundles": [[], [], []]}, "item 0 outside 1..3"),
+        ({"arrived": [1, 2, 3], "bundles": [[4], [], []]}, "item 4 outside 1..3"),
+    ])
+    def test_prefix_items_are_one_based(self, capsys, witness_instance,
+                                        tmp_path, prefix, message):
+        path = tmp_path / "prefix.json"
+        path.write_text(json.dumps(prefix))
+        code, out, err = run_cli(capsys, "outcome", witness_instance, "--query",
+                                 "exact", "--mechanism", "balanced-like",
+                                 "--agent", "1", "--prefix", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_exact_with_prefix(self, capsys, pair_instance, tmp_path):
         prefix = {"arrived": [1], "bundles": [[1], []], "probability": "1/2"}
@@ -360,3 +376,96 @@ class TestStrictInputTypes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("deviation", [
+        {"bids": "101"},                          # would iterate as [1, 0, 1]
+        {"bids": ["1", "0", "1"], "sincere": "101"},
+    ])
+    def test_deviation(self, capsys, witness_instance, tmp_path, deviation):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(deviation))
+        code, out, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
+                                 "exact", "--agent", "3", "--deviation", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+FIELDS = st.sampled_from(["agents", "items", "utilities", "arrival", "type",
+                          "order", "distribution", "matrix", "instance",
+                          "arrived", "bundles", "probability", "bids", "sincere"])
+LEAVES = (st.none() | st.booleans() | st.integers(-1, 4) | st.just(1.5)
+          | st.sampled_from(["0", "1", "1/2", "-1", "1/0", "x", "101"]))
+ANY_JSON = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(FIELDS, inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def instance_json(draw):
+    """A well-formed instance, sometimes with one field replaced by any JSON."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def rows(entries, count):
+        return draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                             min_size=count, max_size=count))
+
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, m + 1)))
+        arrival = {"type": "order", "order": list(order)}
+    else:
+        # entries of 1/m keep every column sum at most 1
+        arrival = {"type": "distribution",
+                   "matrix": rows(st.sampled_from(["0", f"1/{m}"]), m)}
+    utilities = rows(st.sampled_from(["0", "1", "1/2"]), n)
+    data = {"agents": n, "items": m, "utilities": utilities, "arrival": arrival}
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=1)):
+        data[key] = draw(ANY_JSON)
+    return data
+
+
+PREFIX_JSON = ANY_JSON | st.fixed_dictionaries({
+    "arrived": st.lists(st.integers(0, 4), max_size=3),
+    "bundles": st.lists(st.lists(st.integers(0, 4), max_size=2), max_size=3)})
+DEVIATION_JSON = ANY_JSON | st.lists(st.sampled_from(["0", "1"]), max_size=4)
+COMMANDS = st.sampled_from([
+    ("outcome", "--query", "exact", "--agent", "1"),
+    ("outcome", "--query", "exact", "--agent", "1", "--item", "2"),
+    ("outcome", "--query", "exact", "--agent", "2", "--prefix", "PREFIX"),
+    ("outcome", "--query", "necessary", "--agent", "1", "--threshold", "1/2"),
+    ("outcome", "--query", "possible", "--agent", "1", "--item", "1"),
+    ("outcome", "--query", "possible", "--agent", "1", "--prefix", "PREFIX"),
+    ("manipulate", "--mode", "exact", "--agent", "1", "--deviation", "DEVIATION"),
+    ("manipulate", "--mode", "necessary", "--agent", "1", "--deviation",
+     "DEVIATION", "--threshold", "0"),
+    ("manipulate", "--mode", "best-response", "--agent", "1"),
+    ("sample", "--samples", "20", "--seed", "1"),
+    ("sample", "--samples", "20", "--seed", "1", "--prefix", "PREFIX"),
+])
+
+
+class TestFuzzedFiles:
+    """Whatever JSON the input files hold, the CLI ends with exit code 0, 2
+    or 3, never a traceback."""
+
+    # every example sets the same budget and overwrites the same three
+    # files, so sharing the function-scoped fixtures between examples is safe
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=COMMANDS, mechanism=st.sampled_from(["like", "balanced-like"]),
+           instance=instance_json() | ANY_JSON, prefix=PREFIX_JSON,
+           deviation=DEVIATION_JSON)
+    def test_exit_codes(self, capsys, monkeypatch, tmp_path, command, mechanism,
+                        instance, prefix, deviation):
+        # so small that instances of three items can exceed it (exit 3)
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", "2")
+        files = {}
+        for name, data in (("INSTANCE", instance), ("PREFIX", prefix),
+                           ("DEVIATION", deviation)):
+            files[name] = str(tmp_path / f"{name.lower()}.json")
+            with open(files[name], "w") as handle:
+                json.dump(data, handle)
+        argv = [command[0], files["INSTANCE"], "--mechanism", mechanism]
+        argv += [files.get(arg, arg) for arg in command[1:]]
+        code, _out, _err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3)

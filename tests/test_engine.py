@@ -167,6 +167,25 @@ class TestFixedOrderEnumeration:
         with pytest.raises(Exception):
             allocation_states_after(QueryContext(inst, Mechanism.LIKE), 3)
 
+    def test_states_after_budget_exceeded(self):
+        # owner vectors are kept under both mechanisms, so the first arrival
+        # already gives three states; with a known prefix the moments count
+        # on from the prefix
+        inst = all_ones(3, 4, FixedOrder((0, 1, 2, 3)))
+        for mechanism in Mechanism:
+            with pytest.raises(BudgetExceeded,
+                               match=r"3 states at moment 1 of 4 \(budget 2\)"):
+                allocation_states_after(QueryContext(inst, mechanism, budget=2), 2)
+        prefix = ((0,), AllocationState((frozenset({0}), frozenset(), frozenset()),
+                                        F(1)))
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, known_prefix=prefix,
+                           budget=1)
+        with pytest.raises(BudgetExceeded,
+                           match=r"2 states at moment 2 of 4 \(budget 1\)"):
+            allocation_states_after(ctx, 1)
+        assert len(allocation_states_after(
+            QueryContext(inst, Mechanism.BALANCED_LIKE, budget=3), 1)) == 3
+
 
 class TestLikeClosedForm:
     def test_two_and_three_likers(self):
@@ -270,6 +289,18 @@ class TestDistribution:
         inst = all_ones(2, 2, FixedOrder((0, 1)))
         with pytest.raises(UnsupportedQuery):
             expected_utility_distribution(QueryContext(inst, Mechanism.LIKE))
+
+    def test_states_after_budget_exceeded(self):
+        # either item may arrive first and go to either agent: four states
+        half = F(1, 2)
+        inst = all_ones(2, 2, Distribution(((half, half), (half, half))))
+        with pytest.raises(BudgetExceeded,
+                           match=r"4 states at moment 1 of 2 \(budget 3\)"):
+            distribution_states_after(
+                QueryContext(inst, Mechanism.BALANCED_LIKE, budget=3), 1)
+        states, aborted = distribution_states_after(
+            QueryContext(inst, Mechanism.BALANCED_LIKE, budget=4), 1)
+        assert len(states) == 4 and aborted == 0
 
 
 class TestDispatcher:
