@@ -225,10 +225,11 @@ def _run_outcome(args) -> dict:
 def _run_manipulate(args) -> dict:
     instance = _load_instance(args.instance)
     mechanism = Mechanism.from_string(args.mechanism)
+    budget = _budget()
     out = {"mode": args.mode, "mechanism": mechanism.value}
     if args.mode == "strategyproof":
         out["answer"] = is_strategyproof_on_instance(instance, mechanism,
-                                                     args.max_items)
+                                                     args.max_items, budget)
         return out
     if args.agent is None:
         raise InputError(f"--agent is required for mode {args.mode!r}")
@@ -236,7 +237,7 @@ def _run_manipulate(args) -> dict:
     out["agent"] = args.agent
     if args.mode == "best-response":
         row, gain = best_response_search(instance, mechanism, agent,
-                                         args.max_items)
+                                         args.max_items, budget)
         out["best_response_row"] = [format_rational(x) for x in row]
         out["gain"] = format_rational(gain)
         return out
@@ -262,7 +263,7 @@ def _run_manipulate(args) -> dict:
                             for x in json_list(sincere_row, "sincere bids"))),
         threshold=parse_rational(args.threshold) if args.threshold else Fraction(0),
     )
-    sincere_value, deviated_value = utilities_under_deviation(query)
+    sincere_value, deviated_value = utilities_under_deviation(query, budget)
     gain = deviated_value - sincere_value
     out["sincere_utility"] = format_rational(sincere_value)
     out["deviated_utility"] = format_rational(deviated_value)

@@ -14,9 +14,10 @@ probabilities.  Three loops step over these columns.  The count-state kernel
 gives every exact outcome: Balanced Like gives an item to the positive
 bidders holding the fewest items, so its frontier maps (arrived-item
 bitmask, bundle-size vector) to reach probability, Like drops the sizes, and
-each item's allocation probability is added while it is placed.  The
-owner-level stepper keys its frontier on (arrived mask, owner vector) to
-expose intermediate allocations.  The Monte Carlo sampler draws every
+each item's allocation probability is added while it is placed; ``_step``
+moves that frontier one moment, for the kernel and for the best-response
+search.  The owner-level stepper keys its frontier on (arrived mask, owner
+vector) to expose intermediate allocations.  The Monte Carlo sampler draws every
 uncertain column once per sample.  Like under a fixed ordering also has an
 O(n*m) closed form.  Possibility is positivity of the exact answer, and
 necessity is a threshold on it.
@@ -190,66 +191,70 @@ def _completion(columns, budget: int) -> dict[int, Fraction]:
     return factor
 
 
+def _step(frontier, moment: int, columns, completion, positive, mechanism,
+          alloc, budget: int) -> dict:
+    """Advance a count-state frontier, which maps (arrived mask, bundle sizes
+    or ``()`` under Like) to the probability of reaching it without a void,
+    over one moment.  Placing item k on agent i adds the branch probability,
+    times the completion factor of the new mask, to ``alloc[i][k]``.
+    ``completion`` is None for a fixed ordering, which never voids."""
+    sized = mechanism is Mechanism.BALANCED_LIKE
+    successors: dict = {}
+    for (mask, counts), prob in frontier.items():
+        for item, bit, delta in columns[moment]:
+            if mask & bit:
+                continue
+            mask2 = mask | bit
+            if completion is None:
+                weight = prob
+            else:
+                tail = completion[mask2]
+                if not tail:
+                    continue
+                weight = prob * delta
+            feas = feasible_for_counts(mechanism, counts, positive[item])
+            if not feas:
+                key = (mask2, counts)
+                acc = successors.get(key)
+                successors[key] = weight if acc is None else acc + weight
+                continue
+            share = weight if len(feas) == 1 else weight / len(feas)
+            credit = share if completion is None else share * tail
+            for agent in feas:
+                held = alloc[agent][item]
+                alloc[agent][item] = credit if held is ZERO else held + credit
+                if sized:
+                    key = (mask2, counts[:agent] + (counts[agent] + 1,)
+                           + counts[agent + 1:])
+                else:
+                    key = (mask2, counts)
+                acc = successors.get(key)
+                successors[key] = share if acc is None else acc + share
+    if len(successors) > budget:
+        raise BudgetExceeded(
+            f"count-state frontier reached {len(successors)} states at "
+            f"moment {moment + 1} of {len(columns)} (budget {budget})")
+    return successors
+
+
 def _count_state_outcome(ctx: QueryContext, owners, counts, arrived) -> OutcomeReport:
     """Exact outcome by the count-state kernel, from a start point as
-    returned by ``_start_point``.
-
-    The frontier maps (arrived mask, bundle sizes) to the probability of
-    reaching it without a void.  Placing item k on agent i adds the branch
-    probability, times the completion factor of the new mask, to the
-    allocation probability of (i, k).  A fixed ordering never voids, so its
-    factor is 1 and no completion table is built.
-    """
-    instance, mechanism, budget = ctx.instance, ctx.mechanism, ctx.budget
+    returned by ``_start_point``: one ``_step`` per remaining moment."""
+    instance, mechanism = ctx.instance, ctx.mechanism
     n, m = instance.n, instance.m
     positive = _positive_bidders(_bid_rows(ctx))
     columns = _columns(instance.arrival)
     completion = (None if isinstance(instance.arrival, FixedOrder)
-                  else _completion(columns, budget))
-    sized = mechanism is Mechanism.BALANCED_LIKE
+                  else _completion(columns, ctx.budget))
     alloc = [[ZERO] * m for _ in range(n)]
     for item, owner in enumerate(owners):
         if owner >= 0:
             alloc[owner][item] = ONE
-    start = (sum(1 << item for item in arrived), counts if sized else ())
-    frontier = {start: ONE}
+    sizes = counts if mechanism is Mechanism.BALANCED_LIKE else ()
+    frontier = {(sum(1 << item for item in arrived), sizes): ONE}
     for moment in range(len(arrived), m):
-        successors: dict = {}
-        for (mask, counts), prob in frontier.items():
-            for item, bit, delta in columns[moment]:
-                if mask & bit:
-                    continue
-                mask2 = mask | bit
-                if completion is None:
-                    weight = prob
-                else:
-                    tail = completion[mask2]
-                    if not tail:
-                        continue
-                    weight = prob * delta
-                feas = feasible_for_counts(mechanism, counts, positive[item])
-                if not feas:
-                    key = (mask2, counts)
-                    acc = successors.get(key)
-                    successors[key] = weight if acc is None else acc + weight
-                    continue
-                share = weight if len(feas) == 1 else weight / len(feas)
-                credit = share if completion is None else share * tail
-                for agent in feas:
-                    held = alloc[agent][item]
-                    alloc[agent][item] = credit if held is ZERO else held + credit
-                    if sized:
-                        key = (mask2, counts[:agent] + (counts[agent] + 1,)
-                               + counts[agent + 1:])
-                    else:
-                        key = (mask2, counts)
-                    acc = successors.get(key)
-                    successors[key] = share if acc is None else acc + share
-        if len(successors) > budget:
-            raise BudgetExceeded(
-                f"count-state frontier reached {len(successors)} states at "
-                f"moment {moment + 1} of {m} (budget {budget})")
-        frontier = successors
+        frontier = _step(frontier, moment, columns, completion, positive,
+                         mechanism, alloc, ctx.budget)
     return _outcome(instance, alloc, "dp")
 
 
@@ -557,6 +562,8 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
         state = ctx.known_prefix[1]
         held = [float(state.utility_of(i, instance.utilities)) for i in range(n)]
         credit = [[1.0] * instance.m for _ in range(n)]
+    if not columns:  # nothing left to draw, so every run adds nothing
+        return held
     # A certain column whose item is fresh takes no draw: its item is set in
     # ``sequence`` once, and a draw landing on it voids the run.
     fixed_mask = sum(1 << item for item in arrived)

@@ -220,3 +220,26 @@ def random_distribution_instance(rng, n, m, rational=False):
         columns.append([F(w, total) * scale for w in weights])
     matrix = tuple(tuple(columns[j][k] for j in range(m)) for k in range(m))
     return Instance(n, m, tuple(rows), Distribution(matrix))
+
+
+def naive_best_response(instance, mechanism, agent):
+    """Best 0/1 bid row for ``agent``, pricing the sincere row and then every
+    row in ``itertools.product`` order from scratch with the naive outcome
+    oracles.  Only a strictly better row replaces the one held, so ties go to
+    the sincere row, then to the lexicographically smallest row.  Returns
+    (row, gain over sincere)."""
+    outcome = (naive_fixed_order_outcome if isinstance(instance.arrival, FixedOrder)
+               else naive_distribution_outcome)
+
+    def value(row):
+        bids = list(instance.utilities)
+        bids[agent] = row
+        return outcome(instance, mechanism, bids)[0][agent]
+
+    best_row = instance.utilities[agent]
+    best_value = sincere_value = value(best_row)
+    for row in itertools.product((F(0), F(1)), repeat=instance.m):
+        row_value = value(row)
+        if row_value > best_value:
+            best_row, best_value = row, row_value
+    return best_row, best_value - sincere_value

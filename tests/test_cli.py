@@ -324,6 +324,18 @@ class TestExitCodes:
                              "--agent", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["best-response", "strategyproof", "exact"])
+    @pytest.mark.parametrize("budget, code", [("1", 3), ("abc", 2)])
+    def test_manipulate_reads_budget(self, capsys, monkeypatch, tmp_path,
+                                     witness_instance, mode, budget, code):
+        deviation = tmp_path / "dev.json"
+        deviation.write_text(json.dumps(["0", "1", "1"]))
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
+        got, _, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
+                              mode, "--agent", "3", "--deviation", str(deviation))
+        assert got == code
+        assert ("of 3 (budget 1)" if code == 3 else "ONLINEFAIR_BUDGET") in err
+
     def test_byte_identical_reports(self, capsys, pair_instance):
         a = run_cli(capsys, "outcome", pair_instance, "--query", "exact",
                     "--mechanism", "like", "--agent", "2")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -565,6 +566,17 @@ class TestMonteCarlo:
         assert exact == F(1, 2)
         estimate = monte_carlo_estimate(ctx, 60_000, seed=3)[0]
         assert abs(estimate - 0.5) < 0.02
+
+    def test_full_prefix_returns_held_values(self):
+        # every item has arrived, so no column is left to sample: the estimate
+        # is the held value at once, however many samples are asked for
+        inst = Instance(2, 2, ((F(1, 3), F(1)), (F(2), F(0))), FixedOrder((1, 0)))
+        state = AllocationState((frozenset({1}), frozenset({0})), F(1))
+        ctx = QueryContext(inst, Mechanism.LIKE, known_prefix=((1, 0), state))
+        start = time.perf_counter()
+        assert monte_carlo_estimate(ctx, 10**7, seed=1) == [1.0, 2.0]
+        assert time.perf_counter() - start < 1.0
+        assert online_utilities(ctx) == (F(1), F(2))
 
     def test_rejects_bad_sample_count(self):
         inst = all_ones(1, 1, FixedOrder((0,)))

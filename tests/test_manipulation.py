@@ -22,7 +22,12 @@ from onlinefair import (
     utilities_under_deviation,
 )
 
-from helpers import hexagon_cycle, random_fixed_instance
+from helpers import (
+    hexagon_cycle,
+    naive_best_response,
+    random_distribution_instance,
+    random_fixed_instance,
+)
 
 F = Fraction
 
@@ -147,6 +152,37 @@ class TestBestResponse:
         assert gain == F(0)
         assert row == inst.utilities[0]
 
+    def test_tie_between_rows_breaks_to_smallest_row(self):
+        # (1, 0, 1, 0) and (1, 1, 0, 0) both gain 1/2.  Bits are decided in
+        # arrival order 3, 2, 1, 0, so a walk taking 0 before 1 reaches
+        # (1, 1, 0, 0) first; the smaller row in item order still wins.
+        inst = Instance(2, 4, ((F(2), F(2), F(1), F(2)), (F(2), F(1), F(1), F(0))),
+                        FixedOrder((3, 2, 1, 0)))
+        row, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, 1)
+        assert row == (F(1), F(0), F(1), F(0))
+        assert gain == F(1, 2)
+
+    def test_tie_with_sincere_row_returns_it(self):
+        # (1, 1, 0) is smaller than the sincere pattern (1, 1, 1) and ties it
+        # at the maximum, 5/3; only a strict gain displaces the sincere row
+        inst = Instance(3, 3, ((F(0), F(1), F(2)), (F(0), F(1), F(2)),
+                               (F(1), F(2), F(2))), FixedOrder((1, 0, 2)))
+        row, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, 2)
+        assert row == inst.utilities[2]
+        assert gain == F(0)
+
+    def test_budget_exceeded_names_moment(self):
+        # items 0 and 1 are wanted by the searched agent alone; the frontier
+        # first splits at item 2, which agents 0 and 1 tie on
+        inst = Instance(3, 3, ((F(0), F(0), F(1)), (F(0), F(0), F(1)),
+                               (F(1), F(1), F(1))), FixedOrder((0, 1, 2)))
+        with pytest.raises(BudgetExceeded, match=r"at moment 3 of 3 \(budget 1\)"):
+            best_response_search(inst, Mechanism.BALANCED_LIKE, 2, budget=1)
+        # under Like a fixed-order frontier holds a single state
+        assert best_response_search(inst, Mechanism.LIKE, 2, budget=1) \
+            == (inst.utilities[2], F(0))
+        assert is_strategyproof_on_instance(inst, Mechanism.LIKE, budget=1)
+
     def test_like_is_strategyproof_on_random_instances(self):
         rng = random.Random(55)
         for trial in range(25):
@@ -190,3 +226,19 @@ class TestAgainstEngine:
                 assert sincere == outcome_report(
                     QueryContext(inst, mechanism)).expected_utility[agent]
                 assert exact_manipulation_gain(q) == deviated - sincere
+
+
+class TestAgainstNaiveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_best_response_matches_naive(self, rng, fixed):
+        # distributions stop at m=4: the naive oracle expands every arrival
+        # sequence for every row
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6 if fixed else 4)
+        make = random_fixed_instance if fixed else random_distribution_instance
+        inst = make(rng, n, m, rational=True)
+        agent = rng.randrange(n)
+        for mechanism in Mechanism:
+            assert best_response_search(inst, mechanism, agent) \
+                == naive_best_response(inst, mechanism, agent)
