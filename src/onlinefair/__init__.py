@@ -37,11 +37,8 @@ from .engine import (
     UnsupportedQuery,
     allocation_states_after,
     distribution_states_after,
-    enumerate_fixed_order,
     epsilon_bound,
     exact_utility,
-    expected_utility_distribution,
-    like_closed_form,
     monte_carlo_estimate,
     necessary_utility,
     next_item_probability,
@@ -87,10 +84,7 @@ from .manipulation import (
     utilities_under_deviation,
 )
 from .mechanisms import (
-    ItemAlreadyAllocated,
     Mechanism,
-    allocation_step,
-    feasible_agents,
     feasible_for_counts,
 )
 

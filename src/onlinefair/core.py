@@ -183,11 +183,6 @@ class AllocationState:
     def initial(cls, n: int) -> "AllocationState":
         return cls(tuple(frozenset() for _ in range(n)), Fraction(1))
 
-    def give(self, agent: int, item: int, transition: Fraction) -> "AllocationState":
-        bundles = list(self.bundles)
-        bundles[agent] = bundles[agent] | {item}
-        return AllocationState(tuple(bundles), self.probability * transition)
-
     def utility_of(self, agent: int, utilities) -> Fraction:
         return sum((utilities[agent][k] for k in self.bundles[agent]), Fraction(0))
 
@@ -220,10 +215,9 @@ class OutcomeReport:
     """Exact expected outcome: per-agent expected utility and the full
     agent-by-item allocation probability matrix.
 
-    ``method`` names the computation path taken: ``closed-form`` (Like
-    under a fixed ordering) or ``dp`` (the count-state kernel, which serves
-    everything else).  The CLI labels its known-prefix answers ``online`` and
-    its sampled estimates ``monte-carlo``.
+    ``method`` names the computation path taken: ``dp`` (the count-state
+    kernel, which serves every exact outcome).  The CLI labels its
+    known-prefix answers ``online`` and its sampled estimates ``monte-carlo``.
     """
 
     expected_utility: tuple[Fraction, ...]

@@ -11,16 +11,16 @@ Three information settings are supported:
 Every arrival model is read as one column per moment (``_columns``): a fixed
 ordering is one certain item per moment, a distribution a column of arrival
 probabilities.  Three loops step over these columns.  The count-state kernel
-gives every exact outcome: Balanced Like gives an item to the positive
-bidders holding the fewest items, so its frontier maps (arrived-item
-bitmask, bundle-size vector) to reach probability, Like drops the sizes, and
-each item's allocation probability is added while it is placed; ``_step``
-moves that frontier one moment, for the kernel and for the best-response
-search.  The owner-level stepper keys its frontier on (arrived mask, owner
-vector) to expose intermediate allocations.  The Monte Carlo sampler draws every
-uncertain column once per sample.  Like under a fixed ordering also has an
-O(n*m) closed form.  Possibility is positivity of the exact answer, and
-necessity is a threshold on it.
+behind ``outcome_report`` gives every exact outcome: Balanced Like gives an
+item to the positive bidders holding the fewest items, so its frontier maps
+(arrived-item bitmask, bundle-size vector) to reach probability, Like drops
+the sizes (one state per moment under a fixed ordering), and each item's
+allocation probability is added while it is placed; ``_step`` moves that
+frontier one moment, for the kernel and for the best-response search.  The
+owner-level stepper keys its frontier on (arrived mask, owner vector) to
+expose intermediate allocations.  The Monte Carlo sampler draws every
+uncertain column once per sample.  Possibility is positivity of the exact
+answer, and necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -61,7 +61,7 @@ ONE = Fraction(1)
 
 class UnsupportedQuery(InputError):
     """The operation does not apply to this context (wrong arrival model,
-    missing prefix, wrong mechanism)."""
+    missing or unexpected known prefix)."""
 
 
 class InconsistentPrefix(InputError):
@@ -139,14 +139,6 @@ def _start_point(ctx: QueryContext):
         for item in bundle:
             owners[item] = agent
     return tuple(owners), state.counts, arrived
-
-
-def _outcome(instance: Instance, alloc, method: str) -> OutcomeReport:
-    """Price an agent-by-item allocation matrix at the true utilities."""
-    utility = tuple(
-        sum((p * u for p, u in zip(row, values) if p and u), ZERO)
-        for row, values in zip(alloc, instance.utilities))
-    return OutcomeReport(utility, tuple(tuple(row) for row in alloc), method)
 
 
 @functools.lru_cache(maxsize=8)
@@ -237,9 +229,9 @@ def _step(frontier, moment: int, columns, completion, positive, mechanism,
     return successors
 
 
-def _count_state_outcome(ctx: QueryContext, owners, counts, arrived) -> OutcomeReport:
-    """Exact outcome by the count-state kernel, from a start point as
-    returned by ``_start_point``: one ``_step`` per remaining moment."""
+def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
+    """Exact outcome by the count-state kernel from the empty allocation:
+    one ``_step`` per moment."""
     instance, mechanism = ctx.instance, ctx.mechanism
     n, m = instance.n, instance.m
     positive = _positive_bidders(_bid_rows(ctx))
@@ -247,15 +239,16 @@ def _count_state_outcome(ctx: QueryContext, owners, counts, arrived) -> OutcomeR
     completion = (None if isinstance(instance.arrival, FixedOrder)
                   else _completion(columns, ctx.budget))
     alloc = [[ZERO] * m for _ in range(n)]
-    for item, owner in enumerate(owners):
-        if owner >= 0:
-            alloc[owner][item] = ONE
-    sizes = counts if mechanism is Mechanism.BALANCED_LIKE else ()
-    frontier = {(sum(1 << item for item in arrived), sizes): ONE}
-    for moment in range(len(arrived), m):
+    sizes = (0,) * n if mechanism is Mechanism.BALANCED_LIKE else ()
+    frontier = {(0, sizes): ONE}
+    for moment in range(m):
         frontier = _step(frontier, moment, columns, completion, positive,
                          mechanism, alloc, ctx.budget)
-    return _outcome(instance, alloc, "dp")
+    # priced at the true utilities, whatever the bids were
+    utility = tuple(
+        sum((p * u for p, u in zip(row, values) if p and u), ZERO)
+        for row, values in zip(alloc, instance.utilities))
+    return OutcomeReport(utility, tuple(tuple(row) for row in alloc), "dp")
 
 
 def _owner_frontier(ctx: QueryContext, moments: int, owners, counts, arrived):
@@ -313,34 +306,24 @@ def _owner_frontier(ctx: QueryContext, moments: int, owners, counts, arrived):
     return frontier, void
 
 
-def _allocation_state(owners, n: int, probability: Fraction) -> AllocationState:
-    bundles = [set() for _ in range(n)]
+def _allocation_state(owners, n: int, probability: Fraction,
+                      shared: dict) -> AllocationState:
+    """The state of an owner vector.  ``shared`` maps a bundle's item mask to
+    its frozenset, built once per call of the views below: their states
+    repeat most bundles, and sharing them leaves far fewer live containers
+    for cyclic garbage collection to scan."""
+    masks = [0] * n
     for item, owner in enumerate(owners):
         if owner >= 0:
-            bundles[owner].add(item)
-    return AllocationState(tuple(frozenset(b) for b in bundles), probability)
+            masks[owner] |= 1 << item
+    for mask in masks:
+        if mask not in shared:
+            shared[mask] = frozenset(
+                k for k in range(mask.bit_length()) if mask >> k & 1)
+    return AllocationState(tuple(shared[mask] for mask in masks), probability)
 
 
 # --- fixed ordering ----------------------------------------------------------
-
-
-def _remaining_order(ctx: QueryContext, arrived) -> tuple[int, ...]:
-    arrival = ctx.instance.arrival
-    if not isinstance(arrival, FixedOrder):
-        raise UnsupportedQuery("this query needs a fixed arrival ordering")
-    return arrival.order[len(arrived):]
-
-
-def enumerate_fixed_order(ctx: QueryContext) -> OutcomeReport:
-    """Exact outcome under a fixed ordering by the count-state kernel.
-
-    Honours a known prefix: its items stay with their owners and the kernel
-    starts from the prefix's bundle sizes.  Raises BudgetExceeded if the
-    frontier outgrows ``ctx.budget``.
-    """
-    owners, counts, arrived = _start_point(ctx)
-    _remaining_order(ctx, arrived)  # raises unless the ordering is fixed
-    return _count_state_outcome(ctx, owners, counts, arrived)
 
 
 def allocation_states_after(ctx: QueryContext, rounds: int) -> list[AllocationState]:
@@ -350,59 +333,19 @@ def allocation_states_after(ctx: QueryContext, rounds: int) -> list[AllocationSt
     vector, probabilities summing to 1.
     """
     owners, counts, arrived = _start_point(ctx)
-    items = _remaining_order(ctx, arrived)
-    if not 0 <= rounds <= len(items):
-        raise InputError(f"rounds must be within 0..{len(items)}")
+    if not isinstance(ctx.instance.arrival, FixedOrder):
+        raise UnsupportedQuery("this query needs a fixed arrival ordering")
+    remaining = ctx.instance.m - len(arrived)
+    if not 0 <= rounds <= remaining:
+        raise InputError(f"rounds must be within 0..{remaining}")
     frontier, _void = _owner_frontier(ctx, rounds, owners, counts, arrived)
     # every state has the same arrived mask, so this sorts by owner vector
-    return [_allocation_state(owner_vec, ctx.instance.n, prob)
+    shared: dict = {}
+    return [_allocation_state(owner_vec, ctx.instance.n, prob, shared)
             for (_mask, owner_vec), prob in sorted(frontier.items())]
 
 
-def like_closed_form(ctx: QueryContext) -> OutcomeReport:
-    """O(n*m) exact outcome for Like under a fixed ordering.
-
-    Like ignores past allocations, so each arriving item lands on each of its
-    positive bidders with probability 1 over the number of positive bidders,
-    independently of everything else.
-    """
-    if ctx.mechanism is not Mechanism.LIKE:
-        raise UnsupportedQuery("closed form applies to the Like mechanism only")
-    owners, _counts, arrived = _start_point(ctx)
-    items = _remaining_order(ctx, arrived)
-    positive = _positive_bidders(_bid_rows(ctx))
-    n, m = ctx.instance.n, ctx.instance.m
-    alloc = [[ZERO] * m for _ in range(n)]
-    for item, owner in enumerate(owners):
-        if owner >= 0:
-            alloc[owner][item] = ONE
-    for item in items:
-        for i in positive[item]:
-            alloc[i][item] = Fraction(1, len(positive[item]))
-    return _outcome(ctx.instance, alloc, "closed-form")
-
-
 # --- stochastic arrivals ------------------------------------------------------
-
-
-def _require_distribution(ctx: QueryContext) -> None:
-    if ctx.known_prefix is not None:
-        raise UnsupportedQuery(
-            "distribution queries start from the empty allocation; use the "
-            "online queries for known-prefix settings")
-    if not isinstance(ctx.instance.arrival, Distribution):
-        raise UnsupportedQuery("this query needs a distribution arrival model")
-
-
-def expected_utility_distribution(ctx: QueryContext) -> OutcomeReport:
-    """Exact outcome when arrivals are drawn from the distribution, by the
-    count-state kernel.
-
-    Only complete repeat-free sequences contribute; all other mass is void
-    and adds zero utility.
-    """
-    _require_distribution(ctx)
-    return _count_state_outcome(ctx, *_start_point(ctx))
 
 
 def distribution_states_after(ctx: QueryContext, moments: int):
@@ -415,16 +358,35 @@ def distribution_states_after(ctx: QueryContext, moments: int):
     """
     if not 0 <= moments <= ctx.instance.m:
         raise InputError(f"moments must be within 0..{ctx.instance.m}")
-    _require_distribution(ctx)
+    if ctx.known_prefix is not None:
+        raise UnsupportedQuery(
+            "distribution queries start from the empty allocation; use the "
+            "online queries for known-prefix settings")
+    if not isinstance(ctx.instance.arrival, Distribution):
+        raise UnsupportedQuery("this query needs a distribution arrival model")
     frontier, aborted = _owner_frontier(ctx, moments, *_start_point(ctx))
     states = sorted(
         ([k for k in range(ctx.instance.m) if mask >> k & 1], owners, prob)
         for (mask, owners), prob in frontier.items())
-    return [(frozenset(used), _allocation_state(owners, ctx.instance.n, prob))
+    shared: dict = {}
+    return [(frozenset(used),
+             _allocation_state(owners, ctx.instance.n, prob, shared))
             for used, owners, prob in states], aborted
 
 
 # --- the online (known prefix) setting ---------------------------------------
+
+
+def _next_placements(ctx: QueryContext, arrived, state):
+    """(item, arrival probability, feasible agents) for each fresh item of
+    the moment after the known prefix; an arrived item carries no mass (a
+    repeat voids the run)."""
+    positive = _positive_bidders(_bid_rows(ctx))
+    for column in _columns(ctx.instance.arrival)[len(arrived):len(arrived) + 1]:
+        for item, _bit, delta in column:
+            if item not in arrived:
+                yield item, delta, feasible_for_counts(
+                    ctx.mechanism, state.counts, positive[item])
 
 
 def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
@@ -432,21 +394,15 @@ def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
 
     Requires a known prefix.  With j items arrived, the moment j+1 column of
     the arrival model is combined with per-item feasibility in the known
-    state; items that already arrived carry no mass (a repeat voids the run).
-    Runs in O(m*n).
+    state.  Runs in O(m*n).
     """
     if ctx.known_prefix is None:
         raise UnsupportedQuery("next_item_probability needs a known prefix")
     arrived, state = _checked_prefix(ctx)
-    positive = _positive_bidders(_bid_rows(ctx))
     result = [ZERO] * ctx.instance.n
-    for column in _columns(ctx.instance.arrival)[len(arrived):len(arrived) + 1]:
-        for item, _bit, delta in column:
-            if item in arrived:
-                continue
-            feas = feasible_for_counts(ctx.mechanism, state.counts, positive[item])
-            for agent in feas:
-                result[agent] += delta / len(feas)
+    for _item, delta, feas in _next_placements(ctx, arrived, state):
+        for agent in feas:
+            result[agent] += delta / len(feas)
     return tuple(result)
 
 
@@ -464,19 +420,14 @@ def online_utilities(ctx: QueryContext) -> tuple[Fraction, ...]:
 
 
 def outcome_report(ctx: QueryContext) -> OutcomeReport:
-    """Full exact outcome by the cheapest applicable path.
+    """Full exact outcome by the count-state kernel (method "dp").
 
-    Precedence: the Like closed form under a fixed ordering, then the
-    count-state kernel for everything else (method "dp").  Both paths agree
-    exactly.  Known-prefix contexts are served by the online queries instead.
+    Known-prefix contexts are served by the online queries instead.
     """
     if ctx.known_prefix is not None:
         raise UnsupportedQuery(
             "known-prefix contexts use online_utilities / next_item_probability")
-    if (isinstance(ctx.instance.arrival, FixedOrder)
-            and ctx.mechanism is Mechanism.LIKE):
-        return like_closed_form(ctx)
-    return _count_state_outcome(ctx, *_start_point(ctx))
+    return _count_state_outcome(ctx)
 
 
 def exact_utility(ctx: QueryContext, agent: int) -> Fraction:
@@ -503,21 +454,17 @@ def possible_utility(ctx: QueryContext, agent: int) -> bool:
 def possible_item(ctx: QueryContext, agent: int, item: int) -> bool:
     """Does the agent receive ``item`` with positive probability?
 
-    Reduces to a possible-utility query on a copy of the instance where the
-    agent values only that item, while everyone (including the agent) keeps
-    the original bids, so the mechanism's behaviour is untouched.
+    Without a prefix this is positivity of the exact allocation probability.
+    With a known prefix it looks one moment ahead, like the other online
+    queries: the agent holds the item already, or the item has not arrived
+    and the agent wins it at the next moment with positive probability.
     """
-    instance = ctx.instance
-    bids = BidProfile(_bid_rows(ctx))
-    if bids.bids[agent][item] <= 0:
-        return False
-    unit_row = tuple(ONE if k == item else ZERO for k in range(instance.m))
-    rows = list(instance.utilities)
-    rows[agent] = unit_row
-    surrogate = Instance(instance.n, instance.m, tuple(rows), instance.arrival)
-    return possible_utility(
-        QueryContext(surrogate, ctx.mechanism, bids, ctx.known_prefix, ctx.budget),
-        agent)
+    if ctx.known_prefix is None:
+        return outcome_report(ctx).allocation_probability[agent][item] > 0
+    arrived, state = _checked_prefix(ctx)
+    return item in state.bundles[agent] or any(
+        fresh == item and agent in feas
+        for fresh, _delta, feas in _next_placements(ctx, arrived, state))
 
 
 def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:

@@ -9,13 +9,8 @@ whether a bid is positive matters, never its magnitude.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
-from .core import AllocationState, BidProfile, InputError
-
-
-class ItemAlreadyAllocated(InputError):
-    pass
+from .core import InputError
 
 
 class Mechanism(Enum):
@@ -34,8 +29,8 @@ class Mechanism(Enum):
 def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
     """Feasible agents given only bundle sizes and the item's positive bidders.
 
-    This is the hot path shared by the engine; ``feasible_agents`` wraps it
-    with state checks.  Returns a tuple sorted by agent index.
+    The uniform draw is over these agents; the engine calls this once per
+    frontier state and arriving item.  Returns a tuple sorted by agent index.
     """
     if not positive_bidders:
         return ()
@@ -43,33 +38,3 @@ def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
         return tuple(positive_bidders)
     fewest = min(counts[i] for i in positive_bidders)
     return tuple(i for i in positive_bidders if counts[i] == fewest)
-
-
-def feasible_agents(mechanism: Mechanism, state: AllocationState, item: int,
-                    bids: BidProfile) -> frozenset[int]:
-    """The set of agents eligible to receive ``item`` in ``state``.
-
-    Like: every positive bidder.  Balanced Like: the positive bidders whose
-    current bundle is smallest among positive bidders.
-    """
-    for bundle in state.bundles:
-        if item in bundle:
-            raise ItemAlreadyAllocated(f"item {item} is already allocated")
-    positive = tuple(i for i in range(len(state.bundles))
-                     if bids.bids[i][item] > 0)
-    return frozenset(feasible_for_counts(mechanism, state.counts, positive))
-
-
-def allocation_step(mechanism: Mechanism, state: AllocationState, item: int,
-                    bids: BidProfile) -> list[tuple[AllocationState, Fraction]]:
-    """All successor states for one arriving item, with transition probabilities.
-
-    Each feasible agent receives the item with probability 1/f where f is the
-    feasible count.  An item nobody bids positively for is skipped: the state
-    is returned unchanged with transition probability 1.
-    """
-    feasible = sorted(feasible_agents(mechanism, state, item, bids))
-    if not feasible:
-        return [(state, Fraction(1))]
-    share = Fraction(1, len(feasible))
-    return [(state.give(agent, item, share), share) for agent in feasible]

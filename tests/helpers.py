@@ -108,6 +108,28 @@ def naive_distribution_outcome(instance, mechanism, bids=None):
     return utility, alloc
 
 
+def naive_online_possible_items(instance, mechanism, arrived, bundles, bids=None):
+    """The (agent, item) pairs possible one moment after a known prefix, by
+    enumerating the next arrival column: every held pair, plus each feasible
+    positive bidder of a fresh item that can arrive next."""
+    n, m = instance.n, instance.m
+    rows = instance.utilities if bids is None else bids
+    pairs = {(i, k) for i, bundle in enumerate(bundles) for k in bundle}
+    j = len(arrived)
+    if j == m:
+        return pairs
+    if isinstance(instance.arrival, FixedOrder):
+        column = [instance.arrival.order[j]]
+    else:
+        column = [k for k in range(m) if instance.arrival.matrix[k][j] > 0]
+    counts = [len(bundle) for bundle in bundles]
+    for item in column:
+        if item not in arrived:
+            likers = [i for i in range(n) if rows[i][item] > 0]
+            pairs.update((i, item) for i in feasible_likers(mechanism, counts, likers))
+    return pairs
+
+
 def exact_variance(instance, mechanism, ctx_states, aborted=None):
     """Per-agent exact utility variances from a list of terminal states.
 

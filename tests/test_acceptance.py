@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from onlinefair import (
+    BidProfile,
     Distribution,
     FixedOrder,
     Instance,
@@ -26,12 +27,10 @@ from onlinefair import (
     complete_minus_perfect_matching,
     count_perfect_matchings,
     distribution_states_after,
-    enumerate_fixed_order,
     epsilon_bound,
     even_cycle,
     exact_manipulation_gain,
     exact_utility,
-    like_closed_form,
     min_maximal_matching_size,
     monte_carlo_estimate,
     necessary_manipulation,
@@ -49,6 +48,7 @@ from onlinefair import (
 
 from helpers import (
     exact_variance,
+    naive_distribution_outcome,
     naive_fixed_order_outcome,
     random_distribution_instance,
     random_fixed_instance,
@@ -63,22 +63,32 @@ def _report(number: int, label: str, ok: bool, extra: str = ""):
     assert ok, f"acceptance criterion {number} failed: {label}"
 
 
-def test_01_like_closed_form_matches_enumeration():
+def test_01_like_outcomes_match_naive_oracle():
     rng = random.Random(101)
     start = time.perf_counter()
     ok = True
     for trial in range(200):
-        inst = random_fixed_instance(rng, rng.randint(1, 4), rng.randint(1, 6),
-                                     rational=trial % 2)
-        ctx = QueryContext(inst, Mechanism.LIKE)
-        fast = like_closed_form(ctx)
-        slow = enumerate_fixed_order(ctx)
-        ok = ok and fast.expected_utility == slow.expected_utility \
-            and fast.allocation_probability == slow.allocation_probability
+        n = rng.randint(1, 4)
+        if trial % 2:
+            inst = random_fixed_instance(rng, n, rng.randint(1, 6),
+                                         rational=trial % 4 == 1)
+            oracle = naive_fixed_order_outcome
+        else:
+            inst = random_distribution_instance(rng, n, rng.randint(1, 4),
+                                                rational=trial % 4 == 0)
+            oracle = naive_distribution_outcome
+        bids = (tuple(tuple(F(rng.randint(0, 1)) for _ in range(inst.m))
+                      for _ in range(n)) if trial % 3 == 0 else None)
+        ctx = QueryContext(inst, Mechanism.LIKE, bids and BidProfile(bids))
+        report = outcome_report(ctx)
+        utility, alloc = oracle(inst, Mechanism.LIKE, bids)
+        ok = ok and report.method == "dp" \
+            and list(report.expected_utility) == utility \
+            and [list(r) for r in report.allocation_probability] == alloc
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10
-    _report(1, "closed-form Like equals enumeration on 200 random instances",
-            ok, f" ({elapsed:.1f}s < 10s)")
+    _report(1, "Like outcomes equal the naive oracle on 100 fixed-order and "
+            "100 distribution instances", ok, f" ({elapsed:.1f}s < 10s)")
 
 
 def test_02_two_agent_dp_matches_enumeration():

@@ -90,6 +90,19 @@ class TestOutcome:
                        "--item", "1")
         assert out["answer"] is False
 
+    @pytest.mark.parametrize("agent, item, answer", [
+        ("1", "1", False), ("2", "1", True), ("1", "2", True), ("2", "2", False)])
+    def test_possible_item_with_prefix(self, capsys, pair_instance, tmp_path,
+                                       agent, item, answer):
+        # item 1 went to agent 2, so only agent 1, holding less, can win item 2
+        prefix = {"arrived": [1], "bundles": [[], [1]], "probability": "1/2"}
+        path = tmp_path / "prefix.json"
+        path.write_text(json.dumps(prefix))
+        out = run_json(capsys, "outcome", pair_instance, "--query", "possible",
+                       "--mechanism", "balanced-like", "--agent", agent,
+                       "--item", item, "--prefix", str(path))
+        assert out["answer"] is answer
+
     @pytest.mark.parametrize("prefix, message", [
         ({"arrived": [0], "bundles": [[], [], []]}, "item 0 outside 1..3"),
         ({"arrived": [1, 2, 3], "bundles": [[4], [], []]}, "item 4 outside 1..3"),

@@ -106,9 +106,10 @@ class TestAllocationState:
         assert state.allocated_items() == {0, 1, 2}
 
     def test_give_accumulates_probability(self):
-        state = AllocationState.initial(2).give(1, 0, F(1, 2))
+        state = AllocationState((frozenset(), frozenset({0})), F(1, 2))
         assert state.bundles[1] == {0}
         assert state.probability == F(1, 2)
+        assert state.counts == (0, 1)
 
     def test_check_rejects_overlap(self):
         state = AllocationState((frozenset({0}), frozenset({0})), F(1))

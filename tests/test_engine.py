@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onlinefair import (
+    DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
     BidProfile,
     BudgetExceeded,
@@ -19,11 +20,8 @@ from onlinefair import (
     UnsupportedQuery,
     allocation_states_after,
     distribution_states_after,
-    enumerate_fixed_order,
     epsilon_bound,
     exact_utility,
-    expected_utility_distribution,
-    like_closed_form,
     monte_carlo_estimate,
     necessary_utility,
     next_item_probability,
@@ -32,10 +30,12 @@ from onlinefair import (
     possible_item,
     possible_utility,
 )
+from onlinefair.engine import _columns, _completion
 
 from helpers import (
     naive_distribution_outcome,
     naive_fixed_order_outcome,
+    naive_online_possible_items,
     random_distribution_instance,
     random_fixed_instance,
 )
@@ -94,19 +94,35 @@ def random_bids(rng, inst):
                  for _ in range(inst.n))
 
 
+def random_prefix(rng, inst):
+    """A known prefix: the first j arrivals (any j distinct items under a
+    distribution), each held by a random agent or by nobody."""
+    j = rng.randint(0, inst.m)
+    if isinstance(inst.arrival, FixedOrder):
+        arrived = inst.arrival.order[:j]
+    else:
+        arrived = tuple(rng.sample(range(inst.m), j))
+    bundles = [set() for _ in range(inst.n)]
+    for item in arrived:
+        owner = rng.randint(-1, inst.n - 1)
+        if owner >= 0:
+            bundles[owner].add(item)
+    return arrived, bundles
+
+
 class TestFixedOrderEnumeration:
     def test_two_all_ones_balanced(self):
         # after the first item lands, the other agent is the unique feasible
         # bidder for the second
         inst = all_ones(2, 2, FixedOrder((0, 1)))
-        report = enumerate_fixed_order(QueryContext(inst, Mechanism.BALANCED_LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
         assert report.expected_utility == (F(1), F(1))
         assert report.allocation_probability[0][1] == F(1, 2)
         assert report.method == "dp"
 
     def test_two_all_ones_like(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
-        report = enumerate_fixed_order(QueryContext(inst, Mechanism.LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE))
         assert report.expected_utility == (F(1), F(1))
         assert all(p == F(1, 2) for row in report.allocation_probability
                    for p in row)
@@ -117,7 +133,7 @@ class TestFixedOrderEnumeration:
             inst = random_fixed_instance(rng, rng.randint(1, 3), rng.randint(1, 4),
                                          rational=trial % 2)
             for mechanism in Mechanism:
-                report = enumerate_fixed_order(QueryContext(inst, mechanism))
+                report = outcome_report(QueryContext(inst, mechanism))
                 utility, alloc = naive_fixed_order_outcome(inst, mechanism)
                 assert list(report.expected_utility) == utility
                 assert [list(r) for r in report.allocation_probability] \
@@ -127,7 +143,7 @@ class TestFixedOrderEnumeration:
         # bids decide feasibility; utilities only price the result
         inst = Instance(2, 1, ((F(5),), (F(1),)), FixedOrder((0,)))
         bids = BidProfile(((F(0),), (F(1),)))
-        report = enumerate_fixed_order(QueryContext(inst, Mechanism.LIKE, bids))
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE, bids))
         assert report.expected_utility == (F(0), F(1))
 
     def test_budget_exceeded(self):
@@ -136,9 +152,9 @@ class TestFixedOrderEnumeration:
         inst = all_ones(3, 4, FixedOrder((0, 1, 2, 3)))
         with pytest.raises(BudgetExceeded,
                            match=r"3 states at moment 1 of 4 \(budget 2\)"):
-            enumerate_fixed_order(
+            outcome_report(
                 QueryContext(inst, Mechanism.BALANCED_LIKE, budget=2))
-        report = enumerate_fixed_order(
+        report = outcome_report(
             QueryContext(inst, Mechanism.LIKE, budget=1))
         assert report.expected_utility == (F(4, 3),) * 3
 
@@ -189,32 +205,47 @@ class TestFixedOrderEnumeration:
 
 
 class TestLikeClosedForm:
+    """Like outcomes come from the count-state kernel, whose frontier holds
+    one state per moment; they satisfy the closed form checked here."""
+
     def test_two_and_three_likers(self):
         # shares 1/2 and 1/3 add to 5/6 for the first agent
         utilities = ((F(1), F(1)), (F(1), F(1)), (F(0), F(1)))
         inst = Instance(3, 2, utilities, FixedOrder((0, 1)))
-        report = like_closed_form(QueryContext(inst, Mechanism.LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE))
         assert report.expected_utility[0] == F(5, 6)
-        assert report.method == "closed-form"
+        assert report.method == "dp"
 
     def test_zero_bidder_gets_zero(self):
         inst = Instance(2, 2, ((F(0), F(0)), (F(1), F(1))), FixedOrder((0, 1)))
-        report = like_closed_form(QueryContext(inst, Mechanism.LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE))
         assert report.expected_utility[0] == F(0)
-
-    def test_rejects_balanced_like(self):
-        inst = all_ones(2, 2, FixedOrder((0, 1)))
-        with pytest.raises(UnsupportedQuery):
-            like_closed_form(QueryContext(inst, Mechanism.BALANCED_LIKE))
 
     @settings(max_examples=60, deadline=None)
     @given(fixed_instances(rational=True))
     def test_equals_enumeration(self, inst):
-        ctx = QueryContext(inst, Mechanism.LIKE)
-        fast = like_closed_form(ctx)
-        slow = enumerate_fixed_order(ctx)
-        assert fast.expected_utility == slow.expected_utility
-        assert fast.allocation_probability == slow.allocation_probability
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE))
+        utility, alloc = naive_fixed_order_outcome(inst, Mechanism.LIKE)
+        assert list(report.expected_utility) == utility
+        assert [list(r) for r in report.allocation_probability] == alloc
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(with_bids(fixed_instances(rational=True)),
+                     with_bids(distribution_instances(max_m=4))))
+    def test_items_split_evenly_over_positive_bidders(self, case):
+        # Like ignores past allocations, and a run that completes holds every
+        # item, so item k lands on each of its positive bidders with the
+        # completion probability over their number
+        inst, bids = case
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE, BidProfile(bids)))
+        complete = _completion(_columns(inst.arrival), DEFAULT_ENUMERATION_BUDGET)[0]
+        if isinstance(inst.arrival, FixedOrder):
+            assert complete == 1
+        for k in range(inst.m):
+            bidders = [i for i in range(inst.n) if bids[i][k] > 0]
+            for i in range(inst.n):
+                share = complete / len(bidders) if i in bidders else 0
+                assert report.allocation_probability[i][k] == share
 
 
 class TestTwoAgentDp:
@@ -252,7 +283,7 @@ class TestDistribution:
                                                 rng.randint(1, 3),
                                                 rational=trial % 2)
             for mechanism in Mechanism:
-                report = expected_utility_distribution(QueryContext(inst, mechanism))
+                report = outcome_report(QueryContext(inst, mechanism))
                 utility, alloc = naive_distribution_outcome(inst, mechanism)
                 assert list(report.expected_utility) == utility
                 assert [list(r) for r in report.allocation_probability] \
@@ -267,15 +298,15 @@ class TestDistribution:
         stoch = Instance(2, 3, utilities, Distribution(matrix))
         fixed = Instance(2, 3, utilities, FixedOrder(order))
         for mechanism in Mechanism:
-            a = expected_utility_distribution(QueryContext(stoch, mechanism))
-            b = enumerate_fixed_order(QueryContext(fixed, mechanism))
+            a = outcome_report(QueryContext(stoch, mechanism))
+            b = outcome_report(QueryContext(fixed, mechanism))
             assert a.expected_utility == b.expected_utility
             assert a.allocation_probability == b.allocation_probability
 
     def test_all_zero_column_voids_everything(self):
         matrix = ((F(1), F(0)), (F(0), F(0)))
         inst = all_ones(2, 2, Distribution(matrix))
-        report = expected_utility_distribution(QueryContext(inst, Mechanism.LIKE))
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE))
         assert report.expected_utility == (F(0), F(0))
 
     @settings(max_examples=40, deadline=None)
@@ -285,11 +316,6 @@ class TestDistribution:
         for moments in range(inst.m + 1):
             states, aborted = distribution_states_after(ctx, moments)
             assert sum((s.probability for _, s in states), F(0)) + aborted == F(1)
-
-    def test_rejects_fixed_order(self):
-        inst = all_ones(2, 2, FixedOrder((0, 1)))
-        with pytest.raises(UnsupportedQuery):
-            expected_utility_distribution(QueryContext(inst, Mechanism.LIKE))
 
     def test_states_after_budget_exceeded(self):
         # either item may arrive first and go to either agent: four states
@@ -306,9 +332,10 @@ class TestDistribution:
 
 class TestDispatcher:
     def test_routes_by_setting(self):
+        # every setting without a prefix runs the count-state kernel
         fixed = all_ones(2, 2, FixedOrder((0, 1)))
         assert outcome_report(QueryContext(fixed, Mechanism.LIKE)).method \
-            == "closed-form"
+            == "dp"
         assert outcome_report(QueryContext(fixed, Mechanism.BALANCED_LIKE)).method \
             == "dp"
         three = all_ones(3, 2, FixedOrder((0, 1)))
@@ -446,6 +473,34 @@ class TestPossibility:
                     for item in range(inst.m):
                         assert possible_item(ctx, agent, item) \
                             == (alloc[agent][item] > 0)
+
+    def test_known_prefix_item_held_by_another_agent(self):
+        # item 1 arrived and went to agent 2, so agent 1 cannot receive it;
+        # agent 1, holding less, is the one feasible bidder for item 2
+        inst = all_ones(2, 2, FixedOrder((0, 1)))
+        state = AllocationState((frozenset(), frozenset({0})), F(1, 2))
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE,
+                           known_prefix=((0,), state))
+        assert not possible_item(ctx, 0, 0)
+        assert possible_item(ctx, 1, 0)
+        assert possible_item(ctx, 0, 1)
+        assert not possible_item(ctx, 1, 1)
+
+    def test_matches_next_column_enumeration_with_prefix(self):
+        rng = random.Random(33)
+        for trial in range(160):
+            make = random_fixed_instance if trial % 2 else random_distribution_instance
+            inst = make(rng, rng.randint(1, 3), rng.randint(1, 4))
+            bids = random_bids(rng, inst) if trial % 4 >= 2 else None
+            arrived, bundles = random_prefix(rng, inst)
+            state = AllocationState(tuple(frozenset(b) for b in bundles), F(1))
+            for mechanism in Mechanism:
+                ctx = QueryContext(inst, mechanism, bids and BidProfile(bids),
+                                   known_prefix=(arrived, state))
+                possible = {(i, k) for i in range(inst.n) for k in range(inst.m)
+                            if possible_item(ctx, i, k)}
+                assert possible == naive_online_possible_items(
+                    inst, mechanism, arrived, bundles, bids)
 
     def test_like_needs_a_completable_sequence(self):
         # both moments can only reveal the first item, so every run aborts

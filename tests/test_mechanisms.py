@@ -3,24 +3,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from onlinefair import (
-    AllocationState,
-    BidProfile,
-    FixedOrder,
-    InputError,
-    Instance,
-    ItemAlreadyAllocated,
-    Mechanism,
-    allocation_step,
-    feasible_agents,
-    feasible_for_counts,
-)
+from onlinefair import InputError, Mechanism, feasible_for_counts
+from onlinefair.engine import _step
 
 F = Fraction
 
 
-def profile(rows):
-    return BidProfile(tuple(tuple(F(x) for x in row) for row in rows))
+def step_one_item(mechanism, counts, bidders):
+    """Step one arriving item through the count-state kernel from bundle sizes
+    ``counts``.  Returns (successor states keyed by bundle sizes under
+    Balanced Like, each agent's probability of receiving the item)."""
+    alloc = [[F(0)] for _ in counts]
+    sizes = tuple(counts) if mechanism is Mechanism.BALANCED_LIKE else ()
+    successors = _step({(0, sizes): F(1)}, 0, (((0, 1, F(1)),),), None,
+                       (tuple(bidders),), mechanism, alloc, budget=10)
+    return ({key: p for (_mask, key), p in successors.items()},
+            [row[0] for row in alloc])
 
 
 class TestMechanismNames:
@@ -50,43 +48,36 @@ class TestFeasibility:
         # an empty-handed agent who does not bid must not block the others
         assert feasible_for_counts(Mechanism.BALANCED_LIKE, (0, 3, 4), (1, 2)) == (1,)
 
-    def test_feasible_agents_rejects_rearrival(self):
-        state = AllocationState((frozenset({0}), frozenset()), F(1))
-        bids = profile([[1, 1], [1, 1]])
-        with pytest.raises(ItemAlreadyAllocated):
-            feasible_agents(Mechanism.LIKE, state, 0, bids)
-
 
 class TestAllocationStep:
+    """One arrival stepped by the engine, whose draw is uniform over
+    ``feasible_for_counts``."""
+
     def test_uniform_over_feasible(self):
-        state = AllocationState.initial(3)
-        bids = profile([[1], [1], [0]])
-        successors = allocation_step(Mechanism.LIKE, state, 0, bids)
-        assert len(successors) == 2
-        assert all(p == F(1, 2) for _, p in successors)
-        assert {s.bundles[0] for s, _ in successors} == {frozenset(), frozenset({0})}
+        successors, received = step_one_item(Mechanism.LIKE, (0, 0, 0), (0, 1))
+        assert received == [F(1, 2), F(1, 2), F(0)]
+        assert sum(successors.values()) == F(1)
 
     def test_unliked_item_is_skipped(self):
-        state = AllocationState.initial(2)
-        bids = profile([[0], [0]])
-        successors = allocation_step(Mechanism.BALANCED_LIKE, state, 0, bids)
-        assert successors == [(state, F(1))]
+        successors, received = step_one_item(Mechanism.BALANCED_LIKE, (0, 0), ())
+        assert successors == {(0, 0): F(1)}
+        assert received == [F(0), F(0)]
 
     @given(st.integers(1, 5), st.data())
     def test_transition_probabilities_sum_to_one(self, n, data):
-        bids_rows = data.draw(st.lists(
-            st.integers(0, 1), min_size=n, max_size=n))
-        counts = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        bundles = []
-        item_pool = iter(range(1, 100))
-        for c in counts:
-            bundles.append(frozenset(next(item_pool) for _ in range(c)))
-        state = AllocationState(tuple(bundles), F(1))
-        bids = profile([[row] for row in bids_rows])
+        bids_row = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        counts = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        bidders = tuple(i for i in range(n) if bids_row[i])
         for mechanism in Mechanism:
-            successors = allocation_step(mechanism, state, 0, bids)
-            assert sum(p for _, p in successors) == F(1)
-            # the receiving agent, if any, is a positive bidder
-            for succ, _ in successors:
-                changed = [i for i in range(n) if succ.bundles[i] != state.bundles[i]]
-                assert all(bids_rows[i] == 1 for i in changed)
+            successors, received = step_one_item(mechanism, counts, bidders)
+            assert sum(successors.values()) == F(1)
+            # the item goes to a positive bidder, uniformly over the feasible
+            feasible = feasible_for_counts(mechanism, counts, bidders)
+            assert set(feasible) <= set(bidders)
+            assert bool(feasible) == bool(bidders)
+            assert sum(received) == (F(1) if feasible else F(0))
+            assert all(received[i] == F(1, len(feasible)) for i in feasible)
+            if mechanism is Mechanism.BALANCED_LIKE:
+                grown = {counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+                         for i in feasible}
+                assert set(successors) == (grown or {counts})
