@@ -155,6 +155,10 @@ def _graph_from_args(args) -> "BipartiteGraph":
 
 
 def _subset_from_args(args):
+    for flag, value in (("--values", args.values), ("-b/--target", args.target),
+                        ("-c/--cardinality", args.cardinality)):
+        if value is None:
+            raise InputError(f"--kind {args.kind} needs {flag}")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:

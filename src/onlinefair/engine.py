@@ -8,7 +8,7 @@ Three information settings are supported:
 * a prefix of arrivals and its allocation are known and nothing is known
   about future items (``QueryContext.known_prefix``).
 
-Every arrival model is read as one column per moment (``_columns``): a fixed
+Every arrival model is read as one column per moment (``arrivals.py``): a fixed
 ordering is one certain item per moment, a distribution a column of arrival
 probabilities.  Three loops step over these columns.  The count-state kernel
 behind ``outcome_report`` gives every exact outcome: Balanced Like gives an
@@ -16,11 +16,18 @@ item to the positive bidders holding the fewest items, so its frontier maps
 (arrived-item bitmask, bundle-size vector) to reach probability, Like drops
 the sizes (one state per moment under a fixed ordering), and each item's
 allocation probability is added while it is placed; ``_step`` moves that
-frontier one moment, for the kernel and for the best-response search.  The
-owner-level stepper keys its frontier on (arrived mask, owner vector) to
-expose intermediate allocations.  The Monte Carlo sampler draws every
-uncertain column once per sample.  Possibility is positivity of the exact
-answer, and necessity is a threshold on it.
+frontier one moment, for the kernel and for the best-response search.  Its
+values are Python ints over one per-frontier scale: a moment multiplies the
+scale by its column's lcm denominator q times L = lcm(1..n), so an arrival
+probability a / q split over f feasible agents is the exact int
+``a * (L // f)``, and dividing out the gcd after every moment keeps the
+frontier in lowest terms.  Completion factors are ints over one common
+denominator, and the credits of a moment become one ``Fraction`` per (agent,
+item), so every answer is still exact.  The owner-level stepper keys its
+frontier on (arrived mask, owner vector) to expose intermediate
+allocations.  The Monte Carlo sampler draws every uncertain column once per
+sample.  Possibility is positivity of the exact answer, and necessity is a
+threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -32,7 +39,6 @@ arrived items.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -53,6 +59,7 @@ from .core import (
     OutcomeReport,
     check_allocation_state,
 )
+from .arrivals import _columns, _plan
 from .mechanisms import Mechanism, feasible_for_counts
 
 ZERO = Fraction(0)
@@ -141,92 +148,73 @@ def _start_point(ctx: QueryContext):
     return tuple(owners), state.counts, arrived
 
 
-@functools.lru_cache(maxsize=8)
-def _columns(arrival):
-    """Per-moment positive arrival support as (item, item bit, probability).
+def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
+          budget: int):
+    """Advance a count-state frontier over one moment.
 
-    A fixed ordering is one unit column per moment.  Cached because
-    manipulation searches query one arrival model thousands of times.
+    The frontier maps (arrived mask, bundle sizes or ``()`` under Like) to
+    an int: the probability of reaching that state without a void is
+    ``value / scale``.  ``plan`` comes from ``_plan``.  Returns (successors,
+    their scale, credits, unit): placing item k on agent i adds the branch
+    probability times the completion factor of the new mask, summed over the
+    moment as the int ``credits[i, k]``, to i's probability of receiving k as
+    ``credits[i, k] / unit``.  Before returning, the successors and their
+    scale are divided in place by their gcd, so the frontier stays in lowest
+    terms and its ints stay small on deep instances.
     """
-    if isinstance(arrival, FixedOrder):
-        return tuple(((k, 1 << k, ONE),) for k in arrival.order)
-    m = len(arrival.matrix)
-    return tuple(
-        tuple((k, 1 << k, arrival.matrix[k][j]) for k in range(m)
-              if arrival.matrix[k][j] > 0)
-        for j in range(m))
-
-
-def _completion(columns, budget: int) -> dict[int, Fraction]:
-    """For every arrived-item mask reachable from the empty start, the
-    probability that the remaining moments each draw a fresh item.
-
-    The masks are collected level by level going forward, then the factors
-    are filled in going backward; a mask's level is its popcount, so one
-    dict holds every level.
-    """
-    levels = [{0}]
-    for moment, column in enumerate(columns):
-        level = {arrived | bit for arrived in levels[-1]
-                 for _item, bit, _delta in column if not arrived & bit}
-        if len(level) > budget:
-            raise BudgetExceeded(
-                f"arrival masks reached {len(level)} at moment {moment + 1} "
-                f"(budget {budget})")
-        levels.append(level)
-    factor = dict.fromkeys(levels[-1], ONE)
-    for column, level in zip(reversed(columns), reversed(levels[:-1])):
-        for arrived in level:
-            factor[arrived] = sum(
-                (delta * factor[arrived | bit] for _item, bit, delta in column
-                 if not arrived & bit), ZERO)
-    return factor
-
-
-def _step(frontier, moment: int, columns, completion, positive, mechanism,
-          alloc, budget: int) -> dict:
-    """Advance a count-state frontier, which maps (arrived mask, bundle sizes
-    or ``()`` under Like) to the probability of reaching it without a void,
-    over one moment.  Placing item k on agent i adds the branch probability,
-    times the completion factor of the new mask, to ``alloc[i][k]``.
-    ``completion`` is None for a fixed ordering, which never voids."""
+    columns, completion, unit = plan
+    grow, entries = columns[moment]
     sized = mechanism is Mechanism.BALANCED_LIKE
     successors: dict = {}
-    for (mask, counts), prob in frontier.items():
-        for item, bit, delta in columns[moment]:
+    credits: dict = {}
+    for item, bit, shares in entries:
+        bidders = positive[item]
+        gained: dict = {}  # credit per feasible set
+        for (mask, counts), weight in frontier.items():
             if mask & bit:
                 continue
             mask2 = mask | bit
             if completion is None:
-                weight = prob
+                tail = 1
             else:
                 tail = completion[mask2]
                 if not tail:
                     continue
-                weight = prob * delta
-            feas = feasible_for_counts(mechanism, counts, positive[item])
-            if not feas:
+            feas = feasible_for_counts(mechanism, counts, bidders)
+            if feas:
+                share = weight * shares[len(feas)]
+                gained[feas] = gained.get(feas, 0) + share * tail
+            if not (sized and feas):  # the sizes stay as they are
                 key = (mask2, counts)
                 acc = successors.get(key)
-                successors[key] = weight if acc is None else acc + weight
+                whole = weight * shares[0]
+                successors[key] = whole if acc is None else acc + whole
                 continue
-            share = weight if len(feas) == 1 else weight / len(feas)
-            credit = share if completion is None else share * tail
             for agent in feas:
-                held = alloc[agent][item]
-                alloc[agent][item] = credit if held is ZERO else held + credit
-                if sized:
-                    key = (mask2, counts[:agent] + (counts[agent] + 1,)
-                           + counts[agent + 1:])
-                else:
-                    key = (mask2, counts)
+                key = (mask2, counts[:agent] + (counts[agent] + 1,)
+                       + counts[agent + 1:])
                 acc = successors.get(key)
                 successors[key] = share if acc is None else acc + share
+        for feas, credit in gained.items():
+            for agent in feas:
+                key = (agent, item)
+                credits[key] = credits.get(key, 0) + credit
     if len(successors) > budget:
         raise BudgetExceeded(
             f"count-state frontier reached {len(successors)} states at "
             f"moment {moment + 1} of {len(columns)} (budget {budget})")
-    return successors
+    scale *= grow
+    unit *= scale  # credits are over the unreduced scale times C
+    common = scale
+    for value in successors.values():
+        if common == 1:
+            break
+        common = math.gcd(common, value)
+    if common > 1:
+        scale //= common
+        for key in successors:
+            successors[key] //= common
+    return successors, scale, credits, unit
 
 
 def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
@@ -235,20 +223,28 @@ def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
     instance, mechanism = ctx.instance, ctx.mechanism
     n, m = instance.n, instance.m
     positive = _positive_bidders(_bid_rows(ctx))
-    columns = _columns(instance.arrival)
-    completion = (None if isinstance(instance.arrival, FixedOrder)
-                  else _completion(columns, ctx.budget))
+    plan = _plan(instance.arrival, n, ctx.budget)
     alloc = [[ZERO] * m for _ in range(n)]
     sizes = (0,) * n if mechanism is Mechanism.BALANCED_LIKE else ()
-    frontier = {(0, sizes): ONE}
+    frontier, scale = {(0, sizes): 1}, 1
     for moment in range(m):
-        frontier = _step(frontier, moment, columns, completion, positive,
-                         mechanism, alloc, ctx.budget)
-    # priced at the true utilities, whatever the bids were
-    utility = tuple(
-        sum((p * u for p, u in zip(row, values) if p and u), ZERO)
-        for row, values in zip(alloc, instance.utilities))
-    return OutcomeReport(utility, tuple(tuple(row) for row in alloc), "dp")
+        frontier, scale, credits, unit = _step(
+            frontier, scale, moment, plan, positive, mechanism, ctx.budget)
+        for (agent, item), credit in credits.items():
+            credit = Fraction(credit, unit)
+            held = alloc[agent][item]
+            alloc[agent][item] = credit if held is ZERO else held + credit
+    # priced at the true utilities, whatever the bids were; products that
+    # share a denominator are summed as ints, one Fraction per denominator
+    utility = []
+    for row, values in zip(alloc, instance.utilities):
+        by_denominator: dict = {}
+        for p, u in zip(row, values):
+            if p and u:
+                d = p.denominator * u.denominator
+                by_denominator[d] = by_denominator.get(d, 0) + p.numerator * u.numerator
+        utility.append(sum((Fraction(v, d) for d, v in by_denominator.items()), ZERO))
+    return OutcomeReport(tuple(utility), tuple(tuple(row) for row in alloc), "dp")
 
 
 def _owner_frontier(ctx: QueryContext, moments: int, owners, counts, arrived):

@@ -10,14 +10,15 @@ under a fixed ordering, about 2^(m+1) moment steps in all instead of m * 2^m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (DEFAULT_ENUMERATION_BUDGET, BidProfile, BudgetExceeded, FixedOrder,
+from .core import (DEFAULT_ENUMERATION_BUDGET, BidProfile, BudgetExceeded,
                    InputError, Instance, parse_rational)
-from .engine import (QueryContext, _bid_rows, _columns, _completion, _positive_bidders,
-                     _step, exact_utility)
+from .arrivals import _columns, _plan
+from .engine import QueryContext, _bid_rows, _positive_bidders, _step, exact_utility
 from .mechanisms import Mechanism
 
 ZERO = Fraction(0)
@@ -106,13 +107,14 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     and the agent's true utility adds up along the path.
     """
     n, m = instance.n, instance.m
+    if max_items < 1:
+        raise InputError(f"the item cap must be positive, not {max_items}")
     if m > max_items:
         raise BudgetExceeded(
             f"best-response search over 2^{m} rows exceeds the {max_items}-item cap")
     utilities = _bid_rows(QueryContext(instance, mechanism, BidProfile.sincere(instance)))
     columns = _columns(instance.arrival)
-    completion = (None if isinstance(instance.arrival, FixedOrder)
-                  else _completion(columns, budget))
+    plan = _plan(instance.arrival, n, budget)
     # bits are decided in ``order``: items by first arrival, then the rest
     order = list(dict.fromkeys([item for column in columns
                                 for item, _bit, _p in column] + list(range(m))))
@@ -122,8 +124,6 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     for moment, column in enumerate(columns):
         need = max([need] + [rank[item] for item, _bit, _p in column])
         steps[need].append(moment)
-    placed = [{item for moment in moments for item, _bit, _p in columns[moment]}
-              for moments in steps]
     # each item's positive bidders when the agent bids 0 / 1 on it
     choices = [(tuple(i for i in b if i != agent), tuple(sorted({*b, agent})))
                for b in _positive_bidders(utilities)]
@@ -131,23 +131,29 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     weight = [1 << (m - 1 - k) for k in range(m)]
     true_row = utilities[agent]
     sincere_bits = sum(weight[k] for k in range(m) if true_row[k])
+    # the true row as ints over one denominator prices a step's credits
+    # with one Fraction
+    row_unit = math.lcm(*(u.denominator for u in true_row))
+    int_row = [u.numerator * (row_unit // u.denominator) for u in true_row]
     sizes = (0,) * n if mechanism is Mechanism.BALANCED_LIKE else ()
-    stack = [(0, 0, {(0, sizes): ONE}, ZERO)]  # (depth, row bits, frontier, value)
+    # (depth, row bits, frontier, its scale, value)
+    stack = [(0, 0, {(0, sizes): 1}, 1, ZERO)]
     best = (-ONE, 0)  # (value, -row bits): the max is the smallest best row
     while stack:
-        depth, bits, frontier, value = stack.pop()
+        depth, bits, frontier, scale, value = stack.pop()
         if depth:
             item = order[depth - 1]
             positive[item] = choices[item][bool(bits & weight[item])]
-        alloc = [[ZERO] * m for _ in range(n)]
         for moment in steps[depth]:
-            frontier = _step(frontier, moment, columns, completion, positive,
-                             mechanism, alloc, budget)
-        held = alloc[agent]
-        value = sum((held[k] * true_row[k] for k in placed[depth] if held[k]), value)
+            frontier, scale, credits, unit = _step(
+                frontier, scale, moment, plan, positive, mechanism, budget)
+            gained = sum(credit * int_row[item]
+                         for (i, item), credit in credits.items() if i == agent)
+            if gained:
+                value += Fraction(gained, unit * row_unit)
         if depth < m:
-            stack.append((depth + 1, bits | weight[order[depth]], frontier, value))
-            stack.append((depth + 1, bits, frontier, value))
+            stack.append((depth + 1, bits | weight[order[depth]], frontier, scale, value))
+            stack.append((depth + 1, bits, frontier, scale, value))
             continue
         if bits == sincere_bits:
             sincere_value = value

@@ -180,6 +180,14 @@ class TestManipulate:
                        "strategyproof", "--mechanism", "balanced-like")
         assert out["answer"] is False
 
+    @pytest.mark.parametrize("mode", ["best-response", "strategyproof"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_item_cap(self, capsys, witness_instance, mode, cap):
+        code, _, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
+                               mode, "--agent", "3", "--max-items", cap)
+        assert code == 2
+        assert "item cap must be positive" in err
+
     def test_missing_deviation_file(self, capsys, witness_instance):
         code, _, err = run_cli(capsys, "manipulate", witness_instance,
                                "--mode", "exact", "--agent", "3")
@@ -239,6 +247,19 @@ class TestGenerate:
                        "--mechanism", "like", "--agent", "1",
                        "--threshold", payload["threshold"])
         assert out["answer"] is True
+
+    @pytest.mark.parametrize("command, kind", [("generate", "subset"),
+                                               ("oracle", "subset-sum")])
+    @pytest.mark.parametrize("missing", ["--values", "-b", "-c"])
+    def test_subset_flags_required(self, capsys, command, kind, missing):
+        flags = {"--values": "1,2", "-b": "3", "-c": "2"}
+        del flags[missing]
+        argv = [command, "--kind", kind]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert missing in err
 
     def test_random_round_trip(self, capsys, tmp_path):
         payload = run_json(capsys, "generate", "--kind", "random",

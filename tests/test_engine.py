@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -30,7 +31,8 @@ from onlinefair import (
     possible_item,
     possible_utility,
 )
-from onlinefair.engine import _columns, _completion
+from onlinefair.arrivals import _columns, _completion, _plan
+from onlinefair.engine import _positive_bidders, _step
 
 from helpers import (
     naive_distribution_outcome,
@@ -328,6 +330,48 @@ class TestDistribution:
         states, aborted = distribution_states_after(
             QueryContext(inst, Mechanism.BALANCED_LIKE, budget=4), 1)
         assert len(states) == 4 and aborted == 0
+
+    def test_completion_budget_exceeded(self):
+        # the arrival masks are counted before the kernel's first step
+        half = F(1, 2)
+        inst = all_ones(2, 2, Distribution(((half, half), (half, half))))
+        with pytest.raises(BudgetExceeded, match=r"^arrival masks reached 2 "
+                           r"states at moment 1 of 2 \(budget 1\)$"):
+            outcome_report(QueryContext(inst, Mechanism.LIKE, budget=1))
+
+
+class TestScaledFrontier:
+    """``_step`` keeps int values over one scale, reduced every moment."""
+
+    @staticmethod
+    def frontiers(inst, mechanism):
+        plan = _plan(inst.arrival, inst.n, DEFAULT_ENUMERATION_BUDGET)
+        positive = _positive_bidders(inst.utilities)
+        sizes = (0,) * inst.n if mechanism is Mechanism.BALANCED_LIKE else ()
+        frontier, scale = {(0, sizes): 1}, 1
+        for moment in range(inst.m):
+            frontier, scale, _credits, _unit = _step(
+                frontier, scale, moment, plan, positive, mechanism,
+                DEFAULT_ENUMERATION_BUDGET)
+            yield frontier, scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(fixed_instances(rational=True), distribution_instances(max_m=5)),
+           st.sampled_from(list(Mechanism)))
+    def test_lowest_terms_after_every_step(self, inst, mechanism):
+        for frontier, scale in self.frontiers(inst, mechanism):
+            assert math.gcd(scale, *frontier.values()) == 1
+
+    def test_like_fixed_order_scale_stays_one(self):
+        # items with 0..3 positive bidders, so every share size occurs
+        m = 3000
+        rows = tuple(tuple(F(k % 8 >> i & 1) for k in range(m)) for i in range(3))
+        inst = Instance(3, m, rows, FixedOrder(tuple(range(m))))
+        steps = 0
+        for frontier, scale in self.frontiers(inst, Mechanism.LIKE):
+            assert scale == 1 and list(frontier.values()) == [1]
+            steps += 1
+        assert steps == m
 
 
 class TestDispatcher:

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from onlinefair import InputError, Mechanism, feasible_for_counts
+from onlinefair import FixedOrder, InputError, Mechanism, feasible_for_counts
+from onlinefair.arrivals import _plan
 from onlinefair.engine import _step
 
 F = Fraction
@@ -13,12 +14,12 @@ def step_one_item(mechanism, counts, bidders):
     """Step one arriving item through the count-state kernel from bundle sizes
     ``counts``.  Returns (successor states keyed by bundle sizes under
     Balanced Like, each agent's probability of receiving the item)."""
-    alloc = [[F(0)] for _ in counts]
     sizes = tuple(counts) if mechanism is Mechanism.BALANCED_LIKE else ()
-    successors = _step({(0, sizes): F(1)}, 0, (((0, 1, F(1)),),), None,
-                       (tuple(bidders),), mechanism, alloc, budget=10)
-    return ({key: p for (_mask, key), p in successors.items()},
-            [row[0] for row in alloc])
+    plan = _plan(FixedOrder((0,)), len(counts), budget=10)
+    successors, scale, credits, unit = _step({(0, sizes): 1}, 1, 0, plan,
+                                             (tuple(bidders),), mechanism, budget=10)
+    return ({key: F(value, scale) for (_mask, key), value in successors.items()},
+            [F(credits.get((agent, 0), 0), unit) for agent in range(len(counts))])
 
 
 class TestMechanismNames:
