@@ -10,7 +10,6 @@ one common denominator.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -19,12 +18,10 @@ from .core import BudgetExceeded, FixedOrder
 ONE = Fraction(1)
 
 
-@functools.lru_cache(maxsize=8)
 def _columns(arrival):
     """Per-moment positive arrival support as (item, item bit, probability).
 
-    A fixed ordering is one unit column per moment.  Cached because
-    manipulation searches query one arrival model thousands of times.
+    A fixed ordering is one unit column per moment.
     """
     if isinstance(arrival, FixedOrder):
         return tuple(((k, 1 << k, ONE),) for k in arrival.order)
@@ -99,12 +96,6 @@ def _scaled_completion(columns, budget: int) -> tuple[dict[int, int], int]:
             factor[arrived] = sum(a * factor[arrived | bit] for bit, a in weights
                                   if not arrived & bit) // q
     return factor, unit
-
-
-def _completion(columns, budget: int) -> dict[int, Fraction]:
-    """``_scaled_completion``'s factors as exact probabilities."""
-    factor, unit = _scaled_completion(columns, budget)
-    return {arrived: Fraction(value, unit) for arrived, value in factor.items()}
 
 
 def _plan(arrival, n: int, budget: int):

@@ -12,7 +12,7 @@ Agent and item indices are 0-based throughout the library; the JSON formats
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -174,10 +174,10 @@ class AllocationState:
 
     bundles: tuple[frozenset[int], ...]
     probability: Fraction
-    counts: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(len(b) for b in self.bundles))
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.bundles))
 
     @classmethod
     def initial(cls, n: int) -> "AllocationState":

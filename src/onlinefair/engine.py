@@ -23,11 +23,11 @@ probability a / q split over f feasible agents is the exact int
 ``a * (L // f)``, and dividing out the gcd after every moment keeps the
 frontier in lowest terms.  Completion factors are ints over one common
 denominator, and the credits of a moment become one ``Fraction`` per (agent,
-item), so every answer is still exact.  The owner-level stepper keys its
-frontier on (arrived mask, owner vector) to expose intermediate
-allocations.  The Monte Carlo sampler draws every uncertain column once per
-sample.  Possibility is positivity of the exact answer, and necessity is a
-threshold on it.
+item), so every answer is still exact.  The owner-level stepper refines the
+count-state key to (arrived mask, one bundle mask per agent) to expose
+intermediate allocations.  The Monte Carlo sampler draws every uncertain
+column once per sample.  Possibility is positivity of the exact answer, and
+necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -135,19 +135,6 @@ def _checked_prefix(ctx: QueryContext):
     return arrived, state
 
 
-def _start_point(ctx: QueryContext):
-    """Initial owner vector and counts, honouring any known prefix."""
-    n, m = ctx.instance.n, ctx.instance.m
-    owners = [-1] * m
-    if ctx.known_prefix is None:
-        return tuple(owners), (0,) * n, ()
-    arrived, state = _checked_prefix(ctx)
-    for agent, bundle in enumerate(state.bundles):
-        for item in bundle:
-            owners[item] = agent
-    return tuple(owners), state.counts, arrived
-
-
 def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
           budget: int):
     """Advance a count-state frontier over one moment.
@@ -247,29 +234,40 @@ def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
     return OutcomeReport(tuple(utility), tuple(tuple(row) for row in alloc), "dp")
 
 
-def _owner_frontier(ctx: QueryContext, moments: int, owners, counts, arrived):
-    """Owner-level frontier after the next ``moments`` arrivals, from a start
-    point as returned by ``_start_point``.
+def _owner_states(ctx: QueryContext, moments: int):
+    """Owner-level states after the next ``moments`` arrivals, from the empty
+    allocation or from the known prefix.
 
-    The frontier maps (arrived mask, owner vector) to the probability of
-    reaching it without a void; bundle sizes ride along in a side dict.
-    Returns (frontier, void mass); the void mass gathers every no-arrival
-    draw and repeated item, so it is zero for a fixed ordering.
+    The frontier refines the count-state key: it maps (arrived mask, one
+    bundle mask per agent) to the probability of reaching that allocation
+    without a void, and Balanced Like reads each bundle size as the mask's
+    bit count.  Returns (list of (arrived frozenset, AllocationState), void
+    mass), sorted by arrived mask, then bundle masks; the void mass gathers
+    every no-arrival draw and repeated item, so it is zero for a fixed
+    ordering.  The states repeat most bundles, so one frozenset is built per
+    distinct mask: sharing them leaves far fewer live containers for cyclic
+    garbage collection to scan.
     """
-    mechanism, budget, m = ctx.mechanism, ctx.budget, ctx.instance.m
+    mechanism, budget = ctx.mechanism, ctx.budget
+    n, m = ctx.instance.n, ctx.instance.m
+    if ctx.known_prefix is None:
+        arrived, start = (), (0,) * n
+    else:
+        arrived, state = _checked_prefix(ctx)
+        start = tuple(sum(1 << k for k in bundle) for bundle in state.bundles)
+    remaining = m - len(arrived)
+    if not 0 <= moments <= remaining:
+        raise InputError(f"moments must be within 0..{remaining}")
     positive = _positive_bidders(_bid_rows(ctx))
     columns = _columns(ctx.instance.arrival)
-    start = (sum(1 << item for item in arrived), owners)
-    frontier = {start: ONE}
-    counts_of = {start: counts}
+    frontier = {(sum(1 << k for k in arrived), start): ONE}
     void = ZERO
     for moment in range(len(arrived), len(arrived) + moments):
         column = columns[moment]
         residual = ONE - sum((delta for _item, _bit, delta in column), ZERO)
         successors: dict = {}
-        sizes: dict = {}
-        for (mask, owners), prob in frontier.items():
-            counts = counts_of[mask, owners]
+        for (mask, bundles), prob in frontier.items():
+            counts = tuple(map(int.bit_count, bundles))
             if residual:
                 void += prob * residual
             for item, bit, delta in column:
@@ -279,44 +277,26 @@ def _owner_frontier(ctx: QueryContext, moments: int, owners, counts, arrived):
                     continue
                 feas = feasible_for_counts(mechanism, counts, positive[item])
                 if not feas:
-                    succ = (mask | bit, owners)
-                    acc = successors.get(succ)
-                    successors[succ] = weight if acc is None else acc + weight
-                    sizes[succ] = counts
+                    key = (mask | bit, bundles)
+                    acc = successors.get(key)
+                    successors[key] = weight if acc is None else acc + weight
                     continue
                 share = weight / len(feas)
                 for agent in feas:
-                    succ = (mask | bit, owners[:item] + (agent,) + owners[item + 1:])
-                    acc = successors.get(succ)
-                    if acc is None:
-                        successors[succ] = share
-                        sizes[succ] = (counts[:agent] + (counts[agent] + 1,)
-                                       + counts[agent + 1:])
-                    else:
-                        successors[succ] = acc + share
+                    key = (mask | bit, bundles[:agent] + (bundles[agent] | bit,)
+                           + bundles[agent + 1:])
+                    acc = successors.get(key)
+                    successors[key] = share if acc is None else acc + share
         if len(successors) > budget:
             raise BudgetExceeded(
                 f"owner-level frontier reached {len(successors)} states at "
                 f"moment {moment + 1} of {m} (budget {budget})")
-        frontier, counts_of = successors, sizes
-    return frontier, void
-
-
-def _allocation_state(owners, n: int, probability: Fraction,
-                      shared: dict) -> AllocationState:
-    """The state of an owner vector.  ``shared`` maps a bundle's item mask to
-    its frozenset, built once per call of the views below: their states
-    repeat most bundles, and sharing them leaves far fewer live containers
-    for cyclic garbage collection to scan."""
-    masks = [0] * n
-    for item, owner in enumerate(owners):
-        if owner >= 0:
-            masks[owner] |= 1 << item
-    for mask in masks:
-        if mask not in shared:
-            shared[mask] = frozenset(
-                k for k in range(mask.bit_length()) if mask >> k & 1)
-    return AllocationState(tuple(shared[mask] for mask in masks), probability)
+        frontier = successors
+    masks = {mask for key in frontier for mask in (key[0], *key[1])}
+    items = {mask: frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+             for mask in masks}.__getitem__
+    return [(items(mask), AllocationState(tuple(map(items, bundles)), prob))
+            for (mask, bundles), prob in sorted(frontier.items())], void
 
 
 # --- fixed ordering ----------------------------------------------------------
@@ -325,20 +305,12 @@ def _allocation_state(owners, n: int, probability: Fraction,
 def allocation_states_after(ctx: QueryContext, rounds: int) -> list[AllocationState]:
     """The merged owner-level frontier after the next ``rounds`` fixed-order
     arrivals, for example to count the distinct positive-probability
-    allocations with a given shape.  States come back sorted by owner
-    vector, probabilities summing to 1.
+    allocations with a given shape.  States come back sorted by their
+    bundles' item masks, probabilities summing to 1.
     """
-    owners, counts, arrived = _start_point(ctx)
     if not isinstance(ctx.instance.arrival, FixedOrder):
         raise UnsupportedQuery("this query needs a fixed arrival ordering")
-    remaining = ctx.instance.m - len(arrived)
-    if not 0 <= rounds <= remaining:
-        raise InputError(f"rounds must be within 0..{remaining}")
-    frontier, _void = _owner_frontier(ctx, rounds, owners, counts, arrived)
-    # every state has the same arrived mask, so this sorts by owner vector
-    shared: dict = {}
-    return [_allocation_state(owner_vec, ctx.instance.n, prob, shared)
-            for (_mask, owner_vec), prob in sorted(frontier.items())]
+    return [state for _arrived, state in _owner_states(ctx, rounds)[0]]
 
 
 # --- stochastic arrivals ------------------------------------------------------
@@ -349,25 +321,16 @@ def distribution_states_after(ctx: QueryContext, moments: int):
     aborted mass.
 
     Returns (list of (arrived frozenset, AllocationState), aborted mass),
-    sorted by arrived items, then owner vector.  Surviving probabilities plus
-    the aborted mass always sum to exactly 1.
+    sorted by the arrived items' mask, then the bundles' item masks.
+    Surviving probabilities plus the aborted mass always sum to exactly 1.
     """
-    if not 0 <= moments <= ctx.instance.m:
-        raise InputError(f"moments must be within 0..{ctx.instance.m}")
     if ctx.known_prefix is not None:
         raise UnsupportedQuery(
             "distribution queries start from the empty allocation; use the "
             "online queries for known-prefix settings")
     if not isinstance(ctx.instance.arrival, Distribution):
         raise UnsupportedQuery("this query needs a distribution arrival model")
-    frontier, aborted = _owner_frontier(ctx, moments, *_start_point(ctx))
-    states = sorted(
-        ([k for k in range(ctx.instance.m) if mask >> k & 1], owners, prob)
-        for (mask, owners), prob in frontier.items())
-    shared: dict = {}
-    return [(frozenset(used),
-             _allocation_state(owners, ctx.instance.n, prob, shared))
-            for used, owners, prob in states], aborted
+    return _owner_states(ctx, moments)
 
 
 # --- the online (known prefix) setting ---------------------------------------
@@ -378,11 +341,12 @@ def _next_placements(ctx: QueryContext, arrived, state):
     the moment after the known prefix; an arrived item carries no mass (a
     repeat voids the run)."""
     positive = _positive_bidders(_bid_rows(ctx))
+    counts = state.counts
     for column in _columns(ctx.instance.arrival)[len(arrived):len(arrived) + 1]:
         for item, _bit, delta in column:
             if item not in arrived:
                 yield item, delta, feasible_for_counts(
-                    ctx.mechanism, state.counts, positive[item])
+                    ctx.mechanism, counts, positive[item])
 
 
 def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
@@ -495,14 +459,15 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
     instance, mechanism = ctx.instance, ctx.mechanism
     n = instance.n
     positive = _positive_bidders(_bid_rows(ctx))
-    _owners, start_counts, arrived = _start_point(ctx)
-    columns = _columns(instance.arrival)[len(arrived):]
+    columns = _columns(instance.arrival)
     if ctx.known_prefix is None:
+        arrived, start_counts = (), (0,) * n
         held = [0.0] * n
         credit = [[float(u) for u in row] for row in instance.utilities]
     else:
-        columns = columns[:1]
-        state = ctx.known_prefix[1]
+        arrived, state = _checked_prefix(ctx)
+        start_counts = state.counts
+        columns = columns[len(arrived):len(arrived) + 1]
         held = [float(state.utility_of(i, instance.utilities)) for i in range(n)]
         credit = [[1.0] * instance.m for _ in range(n)]
     if not columns:  # nothing left to draw, so every run adds nothing

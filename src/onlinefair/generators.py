@@ -24,6 +24,8 @@ from .core import (
     FixedOrder,
     InputError,
     Instance,
+    json_int,
+    json_list,
     validate_instance,
 )
 
@@ -124,17 +126,20 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> BipartiteGraph:
+    """Parse the graph format: JSON ints ``left`` and ``right``, and
+    ``edges`` as [left vertex, right vertex] pairs of 1-based JSON ints."""
+    if not isinstance(data, dict):
+        raise InputError(f"a graph must be a JSON object, got {type(data).__name__}")
     try:
-        left = int(data["left"])
-        right = int(data["right"])
-        raw = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad graph JSON: {exc}") from exc
+        left, right, raw = data["left"], data["right"], data["edges"]
+    except KeyError as exc:
+        raise InputError(f"missing graph field: {exc}") from exc
     edges = []
-    for pair in raw:
-        a, b = pair
-        edges.append((int(a) - 1, int(b) - 1))
-    return make_graph(left, right, edges)
+    for pair in json_list(raw, "edges"):
+        if len(json_list(pair, "an edge")) != 2:
+            raise InputError(f"edge {pair!r} must have two endpoints")
+        edges.append(tuple(json_int(v, "an edge endpoint") - 1 for v in pair))
+    return make_graph(json_int(left, "left"), json_int(right, "right"), edges)
 
 
 # --- named graphs -------------------------------------------------------------

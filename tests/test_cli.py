@@ -436,6 +436,24 @@ class TestStrictInputTypes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("changes", [
+        {"edges": [[1, 2, 3]]},
+        {"edges": "ab"},                          # would unpack as ("a", "b")
+        {"edges": [["x", 1]]},
+        {"edges": [[True, 1]]},
+        {"left": 3.7},                            # would read as 3
+        {"left": "3"},
+    ])
+    def test_graph(self, capsys, tmp_path, changes):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(
+            {"left": 3, "right": 3, "edges": [[1, 1], [2, 2], [3, 3]], **changes}))
+        code, out, err = run_cli(capsys, "oracle", "--kind", "count-pm",
+                                 "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 FIELDS = st.sampled_from(["agents", "items", "utilities", "arrival", "type",
                           "order", "distribution", "matrix", "instance",

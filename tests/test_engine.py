@@ -31,7 +31,7 @@ from onlinefair import (
     possible_item,
     possible_utility,
 )
-from onlinefair.arrivals import _columns, _completion, _plan
+from onlinefair.arrivals import _columns, _plan, _scaled_completion
 from onlinefair.engine import _positive_bidders, _step
 
 from helpers import (
@@ -187,7 +187,7 @@ class TestFixedOrderEnumeration:
             allocation_states_after(QueryContext(inst, Mechanism.LIKE), 3)
 
     def test_states_after_budget_exceeded(self):
-        # owner vectors are kept under both mechanisms, so the first arrival
+        # whole bundles are kept under both mechanisms, so the first arrival
         # already gives three states; with a known prefix the moments count
         # on from the prefix
         inst = all_ones(3, 4, FixedOrder((0, 1, 2, 3)))
@@ -204,6 +204,42 @@ class TestFixedOrderEnumeration:
             allocation_states_after(ctx, 1)
         assert len(allocation_states_after(
             QueryContext(inst, Mechanism.BALANCED_LIKE, budget=3), 1)) == 3
+
+
+class TestOwnerLevelViews:
+    """The owner-level frontier against the count-state kernel."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(with_bids(fixed_instances(max_m=5)),
+                     with_bids(distribution_instances())),
+           st.sampled_from(list(Mechanism)))
+    def test_final_states_price_to_the_kernel(self, case, mechanism):
+        # P(agent i receives item k) is the mass of the states whose bundle
+        # i holds k, under fixed orders and distributions alike
+        inst, bids = case
+        ctx = QueryContext(inst, mechanism, BidProfile(bids))
+        if isinstance(inst.arrival, FixedOrder):
+            states = allocation_states_after(ctx, inst.m)
+        else:
+            states = [s for _arrived, s in distribution_states_after(ctx, inst.m)[0]]
+        priced = [[sum((s.probability for s in states if k in s.bundles[i]), F(0))
+                   for k in range(inst.m)] for i in range(inst.n)]
+        assert priced == [list(r) for r in outcome_report(ctx).allocation_probability]
+
+    def test_states_after_a_known_prefix_extend_it(self):
+        rng = random.Random(31)
+        for trial in range(40):
+            inst = random_fixed_instance(rng, rng.randint(1, 3), rng.randint(1, 5))
+            arrived, bundles = random_prefix(rng, inst)
+            prefix = AllocationState(tuple(map(frozenset, bundles)), F(1))
+            ctx = QueryContext(inst, list(Mechanism)[trial % 2],
+                               known_prefix=(arrived, prefix))
+            for rounds in range(inst.m - len(arrived) + 1):
+                states = allocation_states_after(ctx, rounds)
+                assert sum(s.probability for s in states) == 1
+                for state in states:
+                    assert all(held <= bundle for held, bundle
+                               in zip(prefix.bundles, state.bundles))
 
 
 class TestLikeClosedForm:
@@ -240,7 +276,9 @@ class TestLikeClosedForm:
         # completion probability over their number
         inst, bids = case
         report = outcome_report(QueryContext(inst, Mechanism.LIKE, BidProfile(bids)))
-        complete = _completion(_columns(inst.arrival), DEFAULT_ENUMERATION_BUDGET)[0]
+        factor, unit = _scaled_completion(_columns(inst.arrival),
+                                          DEFAULT_ENUMERATION_BUDGET)
+        complete = F(factor[0], unit)
         if isinstance(inst.arrival, FixedOrder):
             assert complete == 1
         for k in range(inst.m):

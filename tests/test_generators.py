@@ -85,6 +85,8 @@ class TestGraphBasics:
     def test_json_rejects_garbage(self):
         with pytest.raises(InputError):
             graph_from_json_dict({"left": 2, "edges": []})
+        with pytest.raises(InputError):
+            graph_from_json_dict([2, 2, []])
 
 
 class TestNamedGraphs:
