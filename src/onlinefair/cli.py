@@ -315,9 +315,11 @@ def _run_generate(args) -> dict:
 def _run_oracle(args) -> dict:
     kind = args.kind
     if kind == "count-pm":
-        return {"kind": kind, "answer": count_perfect_matchings(_graph_from_args(args))}
+        return {"kind": kind,
+                "answer": count_perfect_matchings(_graph_from_args(args), _budget())}
     if kind == "min-maximal":
-        return {"kind": kind, "answer": min_maximal_matching_size(_graph_from_args(args))}
+        return {"kind": kind,
+                "answer": min_maximal_matching_size(_graph_from_args(args), _budget())}
     if kind == "subset-sum":
         return {"kind": kind, "answer": subset_sum_bc(_subset_from_args(args))}
     raise InputError(f"unknown oracle kind {kind!r}")

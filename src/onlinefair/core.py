@@ -12,9 +12,8 @@ Agent and item indices are 0-based throughout the library; the JSON formats
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -98,15 +97,13 @@ def _rational_matrix(rows, *, what: str) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FixedOrder:
+class FixedOrder(NamedTuple):
     """Deterministic arrival: ``order[j]`` is the item arriving at moment j."""
 
     order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Stochastic arrival: ``matrix[k][j]`` is the probability that item k
     arrives at moment j.
 
@@ -128,8 +125,7 @@ class Distribution:
 ArrivalModel = Union[FixedOrder, Distribution]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """An allocation problem: agents, items, utilities, and the arrival model.
 
     ``utilities[i][k]`` is agent i's cardinal utility for item k (agent-major
@@ -145,8 +141,7 @@ class Instance:
         return self.utilities[agent][item] > 0
 
 
-@dataclass(frozen=True)
-class BidProfile:
+class BidProfile(NamedTuple):
     """Declared bids, one row per agent.  Feasibility looks only at bid
     positivity; utilities are still evaluated against the instance's true
     utility matrix, which is what makes misreporting analysable."""
@@ -167,8 +162,7 @@ class BidProfile:
         return self.bids[agent][item] > 0
 
 
-@dataclass(frozen=True)
-class AllocationState:
+class AllocationState(NamedTuple):
     """A partial allocation: one bundle per agent, plus the probability with
     which the mechanism reaches this state."""
 
@@ -210,8 +204,7 @@ def check_allocation_state(state: AllocationState, n: int, m: int) -> None:
         raise InputError(f"state probability {state.probability} outside (0, 1]")
 
 
-@dataclass(frozen=True)
-class OutcomeReport:
+class OutcomeReport(NamedTuple):
     """Exact expected outcome: per-agent expected utility and the full
     agent-by-item allocation probability matrix.
 

@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -80,8 +79,7 @@ class NoPositiveBranch(InputError):
     bound exists."""
 
 
-@dataclass(frozen=True)
-class QueryContext:
+class QueryContext(NamedTuple):
     """Everything a query needs: instance, mechanism, bids, optional prefix.
 
     ``bids`` defaults to sincere (the utility matrix).  ``known_prefix`` is a

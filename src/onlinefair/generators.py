@@ -16,10 +16,12 @@ unless the arrival model is a distribution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
+    DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceeded,
     Distribution,
     FixedOrder,
     InputError,
@@ -53,8 +55,7 @@ class EmptyGraph(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     """A bipartite graph on ``left`` + ``right`` vertices, 0-based.
 
     Edges are (left index, right index) pairs.  The external JSON format is
@@ -175,13 +176,18 @@ def complete_minus_even_cycle(n: int) -> BipartiteGraph:
 # --- brute-force oracles -------------------------------------------------------
 
 
-def count_perfect_matchings(g: BipartiteGraph) -> int:
+def count_perfect_matchings(g: BipartiteGraph,
+                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     """Exact perfect-matching count via the permanent of the biadjacency
-    matrix, computed by inclusion-exclusion over column subsets."""
+    matrix, computed by inclusion-exclusion over column subsets.  Raises
+    BudgetExceeded when the 2^left subsets outnumber ``budget``."""
     if g.left != g.right:
         raise SideMismatch(
             f"perfect matchings need equal sides, got {g.left} and {g.right}")
     n = g.left
+    if n >= budget.bit_length():  # 2^n > budget
+        raise BudgetExceeded(
+            f"perfect-matching count needs 2^{n} column subsets (budget {budget})")
     row_masks = [0] * n
     for a, b in g.edges:
         row_masks[a] |= 1 << b
@@ -196,19 +202,27 @@ def count_perfect_matchings(g: BipartiteGraph) -> int:
     return total
 
 
-def min_maximal_matching_size(g: BipartiteGraph) -> int:
+def min_maximal_matching_size(g: BipartiteGraph,
+                              budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     """Minimum cardinality over all maximal matchings, by exhaustive search.
 
     A matching is maximal when every edge of the graph touches a matched
-    vertex.  Desk-scale only: the search walks every matching once.
+    vertex.  Desk-scale only: the search walks every matching once, and
+    raises BudgetExceeded when it walks more than ``budget`` nodes.
     """
     edges = sorted(g.edges)
     if not edges:
         raise EmptyGraph("the graph has no edges")
     best = len(edges) + 1
+    nodes = 0
 
     def walk(idx: int, size: int, used_left: int, used_right: int):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"maximal-matching search over {len(edges)} edges walked "
+                f"{nodes} nodes (budget {budget})")
         if size >= best:
             return
         if idx == len(edges):
@@ -226,8 +240,7 @@ def min_maximal_matching_size(g: BipartiteGraph) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class SubsetInstance:
+class SubsetInstance(NamedTuple):
     """An integer multiset with a target sum ``b`` and cardinality ``c``."""
 
     values: tuple[int, ...]

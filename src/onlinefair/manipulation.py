@@ -11,9 +11,8 @@ under a fixed ordering, about 2^(m+1) moment steps in all instead of m * 2^m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (DEFAULT_ENUMERATION_BUDGET, BidProfile, BudgetExceeded,
                    InputError, Instance, parse_rational)
@@ -27,8 +26,7 @@ ONE = Fraction(1)
 DEFAULT_SEARCH_MAX_ITEMS = 12
 
 
-@dataclass(frozen=True)
-class ManipulationQuery:
+class ManipulationQuery(NamedTuple):
     """One agent deviates; everyone else bids sincerely.
 
     ``sincere`` defaults to the agent's true utility row.  ``threshold`` is

@@ -1,15 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from onlinefair.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv, timeout=30):
+    """Run a fresh interpreter on the package sources, under the default
+    budget."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("ONLINEFAIR_BUDGET", None)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 def run_json(capsys, *argv):
@@ -298,6 +313,25 @@ class TestOracle:
                        "--graph-name", "c6")
         assert out["answer"] == 2
 
+    @pytest.mark.parametrize("kind, graph, budget", [("count-pm", "k33", "4"),
+                                                     ("min-maximal", "c6", "1")])
+    def test_reads_budget(self, capsys, monkeypatch, kind, graph, budget):
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
+        code, _, err = run_cli(capsys, "oracle", "--kind", kind,
+                               "--graph-name", graph)
+        assert code == 3
+        assert err.rstrip().endswith(f"(budget {budget})")
+
+    def test_count_pm_refuses_wide_graph(self, tmp_path):
+        # a fresh process with a timeout: an unbudgeted loop over 2^64
+        # column subsets would never end
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"left": 64, "right": 64, "edges": []}))
+        result = run_python("-m", "onlinefair.cli", "oracle", "--kind",
+                            "count-pm", "--graph", str(path))
+        assert result.returncode == 3, result.stderr
+        assert "2^64" in result.stderr
+
     def test_subset_sum(self, capsys):
         out = run_json(capsys, "oracle", "--kind", "subset-sum",
                        "--values", "1,2,3", "-b", "5", "-c", "2")
@@ -533,3 +567,18 @@ class TestFuzzedFiles:
         argv += [files.get(arg, arg) for arg in command[1:]]
         code, _out, _err = run_cli(capsys, *argv)
         assert code in (0, 2, 3)
+
+
+class TestStartup:
+    def test_no_dataclasses_or_inspect(self):
+        """A CLI call loads neither ``dataclasses`` nor ``inspect`` (about
+        12 ms of every call's start-up) beyond what the interpreter itself
+        loads at start."""
+        show = "import sys; print(' '.join(sys.modules), file=sys.stderr)"
+        calls = ("from onlinefair.cli import main; "
+                 "main(['generate', '--kind', 'reduction2', '--graph-name', 'c4']); "
+                 "main(['oracle', '--kind', 'min-maximal', '--graph-name', 'c4']); ")
+        bare = set(run_python("-c", show).stderr.split())
+        cli = set(run_python("-c", calls + show).stderr.split())
+        assert "onlinefair.cli" in cli
+        assert not {"dataclasses", "inspect"} & (cli - bare)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from onlinefair import (
+    DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
+    BidProfile,
     DimensionMismatch,
     Distribution,
     FixedOrder,
@@ -12,8 +14,14 @@ from onlinefair import (
     Instance,
     InvalidDistribution,
     InvalidOrder,
+    ManipulationQuery,
+    Mechanism,
     NegativeValue,
+    OutcomeReport,
+    QueryContext,
+    SubsetInstance,
     format_rational,
+    make_graph,
     instance_from_json_dict,
     instance_to_json_dict,
     make_instance,
@@ -152,3 +160,71 @@ class TestJsonRoundTrip:
     def test_rejects_missing_fields(self):
         with pytest.raises(InputError):
             instance_from_json_dict({"agents": 1})
+
+
+# record name -> (one of its fields, a builder of one record)
+RECORDS = {
+    "FixedOrder": ("order", lambda: FixedOrder((1, 0))),
+    "Distribution": ("matrix", lambda: Distribution(((F(1, 2), F(1)), (F(1, 2), F(0))))),
+    "Instance": ("arrival", lambda: two_agent_instance(FixedOrder((0, 1)))),
+    "BidProfile": ("bids", lambda: BidProfile(((F(1), F(0)), (F(2), F(1))))),
+    "AllocationState": ("probability", lambda: AllocationState(
+        (frozenset({1}), frozenset()), F(1, 2))),
+    "OutcomeReport": ("method", lambda: OutcomeReport(
+        (F(1), F(1, 2)), ((F(1), F(0)),), "dp")),
+    "QueryContext": ("budget", lambda: QueryContext(
+        two_agent_instance(FixedOrder((0, 1))), Mechanism.LIKE)),
+    "ManipulationQuery": ("threshold", lambda: ManipulationQuery(
+        two_agent_instance(FixedOrder((0, 1))), Mechanism.BALANCED_LIKE, 0,
+        (F(0), F(1)))),
+    "BipartiteGraph": ("edges", lambda: make_graph(2, 2, [(0, 0), (1, 1)])),
+    "SubsetInstance": ("b", lambda: SubsetInstance((1, 2, 3), 5, 2)),
+}
+
+
+class TestRecords:
+    """The records' value semantics: built by keyword or position, equal and
+    hash-equal when their fields are, and immutable."""
+
+    def test_keyword_construction_and_defaults(self):
+        inst = two_agent_instance(FixedOrder((0, 1)))
+        ctx = QueryContext(instance=inst, mechanism=Mechanism.LIKE)
+        assert ctx.bids is None and ctx.known_prefix is None
+        assert ctx.budget == DEFAULT_ENUMERATION_BUDGET
+        assert ctx == QueryContext(inst, Mechanism.LIKE, None, None,
+                                   DEFAULT_ENUMERATION_BUDGET)
+        query = ManipulationQuery(instance=inst, mechanism=Mechanism.LIKE,
+                                  agent=1, deviation=(F(1), F(0)))
+        assert query.sincere is None and query.threshold == 0
+        assert Instance(n=2, m=2, utilities=inst.utilities,
+                        arrival=inst.arrival) == inst
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_equal_records_hash_equal(self, name):
+        _field, build = RECORDS[name]
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_fields_are_read_only(self, name):
+        field, build = RECORDS[name]
+        record = build()
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_allocation_state_counts_and_initial(self):
+        start = AllocationState.initial(3)
+        assert start == AllocationState((frozenset(),) * 3, F(1))
+        assert start.counts == (0, 0, 0)
+        state = AllocationState((frozenset({0, 2}), frozenset()), F(1))
+        assert state.counts == (2, 0)
+
+    def test_bid_profile_sincere_and_with_row(self):
+        inst = two_agent_instance(FixedOrder((0, 1)))
+        sincere = BidProfile.sincere(inst)
+        assert sincere.bids == inst.utilities
+        changed = sincere.with_row(1, ["0", "1/2"])
+        assert changed.bids == (inst.utilities[0], (F(0), F(1, 2)))
+        assert sincere.bids == inst.utilities
+        assert changed.positive(1, 1) and not changed.positive(1, 0)
