@@ -303,7 +303,7 @@ def _run_generate(args) -> dict:
         return {
             "instance": instance_to_json_dict(instance),
             "threshold": format_rational(threshold),
-            "subset_exists": subset_sum_bc(subset),
+            "subset_exists": subset_sum_bc(subset, _budget()),
         }
     if kind == "random":
         instance = random_instance(args.agents, args.items, args.seed,
@@ -321,7 +321,8 @@ def _run_oracle(args) -> dict:
         return {"kind": kind,
                 "answer": min_maximal_matching_size(_graph_from_args(args), _budget())}
     if kind == "subset-sum":
-        return {"kind": kind, "answer": subset_sum_bc(_subset_from_args(args))}
+        return {"kind": kind,
+                "answer": subset_sum_bc(_subset_from_args(args), _budget())}
     raise InputError(f"unknown oracle kind {kind!r}")
 
 

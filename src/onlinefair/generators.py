@@ -215,28 +215,28 @@ def min_maximal_matching_size(g: BipartiteGraph,
         raise EmptyGraph("the graph has no edges")
     best = len(edges) + 1
     nodes = 0
-
-    def walk(idx: int, size: int, used_left: int, used_right: int):
-        nonlocal best, nodes
+    # depth first on an explicit stack, taking each edge before skipping it
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        idx, size, used_left, used_right = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(
                 f"maximal-matching search over {len(edges)} edges walked "
                 f"{nodes} nodes (budget {budget})")
         if size >= best:
-            return
+            continue
         if idx == len(edges):
             for a, b in edges:
                 if not (used_left >> a) & 1 and not (used_right >> b) & 1:
-                    return
-            best = size
-            return
+                    break
+            else:
+                best = size
+            continue
         a, b = edges[idx]
+        stack.append((idx + 1, size, used_left, used_right))
         if not (used_left >> a) & 1 and not (used_right >> b) & 1:
-            walk(idx + 1, size + 1, used_left | (1 << a), used_right | (1 << b))
-        walk(idx + 1, size, used_left, used_right)
-
-    walk(0, 0, 0, 0)
+            stack.append((idx + 1, size + 1, used_left | 1 << a, used_right | 1 << b))
     return best
 
 
@@ -255,16 +255,42 @@ def make_subset_instance(values, b: int, c: int) -> SubsetInstance:
     return SubsetInstance(vals, int(b), int(c))
 
 
-def subset_sum_bc(s: SubsetInstance) -> bool:
+def subset_sum_bc(s: SubsetInstance,
+                  budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
     """Does some cardinality-c subset of the values sum to b?  Decided by a
-    reachable (cardinality, sum) table."""
+    reachable (cardinality, sum) table, which at most doubles per value;
+    raises BudgetExceeded once it holds more than ``budget`` pairs."""
     reachable = {(0, 0)}
-    for v in s.values:
+    for count, v in enumerate(s.values, 1):
         reachable |= {(k + 1, t + v) for k, t in reachable}
+        if len(reachable) > budget:
+            raise BudgetExceeded(
+                f"subset-sum table reached {len(reachable)} (cardinality, sum) "
+                f"pairs after {count} of {len(s.values)} values (budget {budget})")
     return (s.c, s.b) in reachable
 
 
 # --- allocation-instance gadgets ----------------------------------------------
+
+
+def _two_uniform_agents(row: tuple, allowed=None) -> Instance:
+    """Two agents with the same utility ``row``, and arrival probability 1/M
+    for item k at moment j wherever (k, j) is in ``allowed`` (everywhere when
+    None)."""
+    m = len(row)
+    share = Fraction(1, m) if m else ZERO  # validation rejects m = 0
+    matrix = tuple(tuple(share if allowed is None or (k, j) in allowed else ZERO
+                         for j in range(m)) for k in range(m))
+    return validate_instance(Instance(2, m, (row, row), Distribution(matrix)))
+
+
+def _zero_one_in_order(liked: list, items: int) -> Instance:
+    """Agent a values item k at 1 when k is in ``liked[a]`` and at 0
+    otherwise; the items arrive in index order."""
+    rows = tuple(tuple(ONE if k in s else ZERO for k in range(items))
+                 for s in map(set, liked))
+    return validate_instance(
+        Instance(len(rows), items, rows, FixedOrder(tuple(range(items)))))
 
 
 def reduction1_instance(g: BipartiteGraph, edge_restricted: bool = True) -> Instance:
@@ -281,47 +307,27 @@ def reduction1_instance(g: BipartiteGraph, edge_restricted: bool = True) -> Inst
     if g.left != g.right:
         raise SideMismatch(
             f"need equal sides, got {g.left} items and {g.right} moments")
-    m = g.left
-    share = Fraction(1, m)
-    matrix = [[ZERO] * m for _ in range(m)]
-    for k in range(m):
-        for j in range(m):
-            if not edge_restricted or (k, j) in g.edges:
-                matrix[k][j] = share
-    utilities = tuple(tuple(ONE for _ in range(m)) for _ in range(2))
-    instance = Instance(2, m, utilities,
-                        Distribution(tuple(tuple(row) for row in matrix)))
-    return validate_instance(instance)
+    return _two_uniform_agents((ONE,) * g.left,
+                               g.edges if edge_restricted else None)
 
 
-def _three_regular_sides(g: BipartiteGraph) -> int:
-    if g.left != g.right or not g.is_regular(3):
-        raise NotThreeRegular("the graph must be 3-regular with equal sides")
-    return g.left
-
-
-def _matching_gadget_rows(g: BipartiteGraph, extra_items: int):
-    """Shared layout for the perfect-matching gadgets.
+def _matching_gadget(g: BipartiteGraph, decoy: bool) -> Instance:
+    """The perfect-matching gadgets' shared layout, for N vertices per side.
 
     Items 0..N-1 mirror the right vertices; items N+2i and N+2i+1 form the
     pair owned by left vertex i.  Agent 3i+j is the j-th edge of left vertex
     i (neighbors sorted ascending) and likes its right-vertex item plus the
-    vertex's pair; one more agent (the collector, index 3N) is appended by
-    the callers.  ``extra_items`` columns are left all-zero for the callers
-    to fill.
+    vertex's pair.  The collector, agent 3N, likes the solo item 3N and, with
+    ``decoy``, the decoy item 3N+1.  Every agent likes the common item, which
+    arrives last.
     """
-    n_vertices = _three_regular_sides(g)
-    agents = 3 * n_vertices + 1
-    items = 3 * n_vertices + extra_items
-    rows = [[ZERO] * items for _ in range(agents)]
-    for i in range(n_vertices):
-        neighbors = g.left_neighbors(i)
-        for j, vertex in enumerate(neighbors):
-            agent = 3 * i + j
-            rows[agent][vertex] = ONE
-            rows[agent][n_vertices + 2 * i] = ONE
-            rows[agent][n_vertices + 2 * i + 1] = ONE
-    return n_vertices, rows
+    if g.left != g.right or not g.is_regular(3):
+        raise NotThreeRegular("the graph must be 3-regular with equal sides")
+    n = g.left
+    items = 3 * n + 2 + decoy
+    liked = [(v, n + 2 * i, n + 2 * i + 1, items - 1)
+             for i in range(n) for v in g.left_neighbors(i)]
+    return _zero_one_in_order(liked + [range(3 * n, items)], items)
 
 
 def reduction2_instance(g: BipartiteGraph) -> Instance:
@@ -334,17 +340,7 @@ def reduction2_instance(g: BipartiteGraph) -> Instance:
     1 plus the common item's probability, which is proportional to the
     perfect-matching count.
     """
-    n_vertices, rows = _matching_gadget_rows(g, extra_items=2)
-    collector = 3 * n_vertices
-    solo = 3 * n_vertices
-    common = 3 * n_vertices + 1
-    rows[collector][solo] = ONE
-    for agent in range(len(rows)):
-        rows[agent][common] = ONE
-    items = 3 * n_vertices + 2
-    instance = Instance(len(rows), items, tuple(tuple(r) for r in rows),
-                        FixedOrder(tuple(range(items))))
-    return validate_instance(instance)
+    return _matching_gadget(g, decoy=False)
 
 
 def reduction2_manip_instance(g: BipartiteGraph) -> Instance:
@@ -356,19 +352,7 @@ def reduction2_manip_instance(g: BipartiteGraph) -> Instance:
     plain gadget, where the utility is 1 plus a matching-count term.  The
     collector's exact gain from that deviation therefore encodes the count.
     """
-    n_vertices, rows = _matching_gadget_rows(g, extra_items=3)
-    collector = 3 * n_vertices
-    solo = 3 * n_vertices
-    decoy = 3 * n_vertices + 1
-    common = 3 * n_vertices + 2
-    rows[collector][solo] = ONE
-    rows[collector][decoy] = ONE
-    for agent in range(len(rows)):
-        rows[agent][common] = ONE
-    items = 3 * n_vertices + 3
-    instance = Instance(len(rows), items, tuple(tuple(r) for r in rows),
-                        FixedOrder(tuple(range(items))))
-    return validate_instance(instance)
+    return _matching_gadget(g, decoy=True)
 
 
 def reduction3_instance(g: BipartiteGraph, r: int) -> Instance:
@@ -377,7 +361,8 @@ def reduction3_instance(g: BipartiteGraph, r: int) -> Instance:
 
     The graph must be subdivision shaped (left degrees exactly 2, right
     degrees at most 3, left side at least as large, no duplicated left
-    neighborhoods).  The instance has 3N+M-r+1 agents and items:
+    neighborhoods).  The instance has 3N+M-r+1 agents and items, laid out
+    by ``reduction3_roles``:
 
     * two vertex agents per left vertex, each liking the vertex's opener
       item, one bridge item per incident right vertex, the vertex's closer
@@ -395,63 +380,40 @@ def reduction3_instance(g: BipartiteGraph, r: int) -> Instance:
         raise NotSubdivisionShaped(
             "need left degrees exactly 2, right degrees <= 3, left side at "
             "least as large as right, and distinct left neighborhoods")
-    n_left, m_right = g.left, g.right
-    if not 1 <= r <= n_left:
-        raise BadR(f"r must be within 1..{n_left}")
-    tokens = n_left - r
-    agents = 3 * n_left + m_right - r + 1
-    items = agents
+    if not 1 <= r <= g.left:
+        raise BadR(f"r must be within 1..{g.left}")
+    roles = reduction3_roles(g, r)
+    opener, bridge, closer = (roles["opener_items"], roles["bridge_items"],
+                              roles["closer_items"])
+    tokens, prize = roles["token_items"], roles["prize_item"]
+    liked = [(opener[i], bridge[b], closer[i], *tokens)
+             for i in range(g.left) for b in g.left_neighbors(i)]
+    liked += [opener] * len(roles["filler_agents"])
+    liked += [(prize,)] * len(roles["claimant_agents"])
+    return _zero_one_in_order(liked + [tokens[-1:] + (prize,)], prize + 1)
 
-    opener = list(range(n_left))
-    bridge = [n_left + j for j in range(m_right)]
-    closer = [n_left + m_right + i for i in range(n_left)]
-    token = [2 * n_left + m_right + t for t in range(tokens)]
-    prize = items - 1
 
-    rows = [[ZERO] * items for _ in range(agents)]
-    for i in range(n_left):
-        neighbors = g.left_neighbors(i)
-        for j in range(2):
-            agent = 2 * i + j
-            rows[agent][opener[i]] = ONE
-            rows[agent][bridge[neighbors[j]]] = ONE
-            rows[agent][closer[i]] = ONE
-            for t in token:
-                rows[agent][t] = ONE
-    fillers_at = 2 * n_left
-    for f in range(tokens):
-        for i in range(n_left):
-            rows[fillers_at + f][opener[i]] = ONE
-    claimants_at = 2 * n_left + tokens
-    for j in range(m_right):
-        rows[claimants_at + j][prize] = ONE
-    challenger = agents - 1
-    if tokens:
-        rows[challenger][token[-1]] = ONE
-    rows[challenger][prize] = ONE
-
-    instance = Instance(agents, items, tuple(tuple(r_) for r_ in rows),
-                        FixedOrder(tuple(range(items))))
-    return validate_instance(instance)
+def _blocks(*sizes) -> list:
+    """Consecutive index ranges of the given sizes, starting at 0."""
+    ends = itertools.accumulate(sizes)
+    return [tuple(range(end - size, end)) for size, end in zip(sizes, ends)]
 
 
 def reduction3_roles(g: BipartiteGraph, r: int) -> dict:
     """Index map for the gadget's named agents and items (0-based)."""
-    n_left, m_right = g.left, g.right
-    tokens = n_left - r
-    agents = 3 * n_left + m_right - r + 1
+    n, m, tokens = g.left, g.right, g.left - r
+    vertex, filler, claimant, (challenger,) = _blocks(2 * n, tokens, m, 1)
+    opener, bridge, closer, token, (prize,) = _blocks(n, m, n, tokens, 1)
     return {
-        "vertex_agents": tuple(range(2 * n_left)),
-        "filler_agents": tuple(range(2 * n_left, 2 * n_left + tokens)),
-        "claimant_agents": tuple(range(2 * n_left + tokens,
-                                       2 * n_left + tokens + m_right)),
-        "challenger": agents - 1,
-        "opener_items": tuple(range(n_left)),
-        "bridge_items": tuple(range(n_left, n_left + m_right)),
-        "closer_items": tuple(range(n_left + m_right, 2 * n_left + m_right)),
-        "token_items": tuple(range(2 * n_left + m_right,
-                                   2 * n_left + m_right + tokens)),
-        "prize_item": agents - 1,
+        "vertex_agents": vertex,
+        "filler_agents": filler,
+        "claimant_agents": claimant,
+        "challenger": challenger,
+        "opener_items": opener,
+        "bridge_items": bridge,
+        "closer_items": closer,
+        "token_items": token,
+        "prize_item": prize,
     }
 
 
@@ -462,13 +424,8 @@ def reduction_subset_instance(s: SubsetInstance) -> tuple[Instance, Fraction]:
 
     Returns (instance, threshold) with threshold = (1/M^c)(b/2) for M values.
     """
-    m = len(s.values)
-    share = Fraction(1, m)
-    utilities = tuple(tuple(Fraction(v) for v in s.values) for _ in range(2))
-    matrix = tuple(tuple(share for _ in range(m)) for _ in range(m))
-    instance = Instance(2, m, utilities, Distribution(matrix))
-    threshold = Fraction(s.b, 2 * m ** s.c)
-    return validate_instance(instance), threshold
+    instance = _two_uniform_agents(tuple(Fraction(v) for v in s.values))
+    return instance, Fraction(s.b, 2 * len(s.values) ** s.c)
 
 
 def random_instance(n: int, m: int, seed: int, *, arrival: str = "order",

@@ -322,6 +322,28 @@ class TestOracle:
         assert code == 3
         assert err.rstrip().endswith(f"(budget {budget})")
 
+    @pytest.mark.parametrize("argv, budget, tail", [
+        (("oracle", "--kind", "min-maximal", "--graph", "K32_32"), "10000",
+         "walked 10001 nodes"),
+        (("oracle", "--kind", "subset-sum", "--values", "POWERS", "-b", "3",
+          "-c", "2"), "1000", "after 10 of 15 values"),
+        (("generate", "--kind", "subset", "--values", "POWERS", "-b", "3",
+          "-c", "2"), "1000", "after 10 of 15 values"),
+    ], ids=["min-maximal", "subset-sum", "generate-subset"])
+    def test_reads_budget_on_large_inputs(self, capsys, monkeypatch, tmp_path,
+                                          argv, budget, tail):
+        # K32,32 has 1,024 edges, one search level each; 2^0..2^14 give the
+        # subset-sum table 2^15 distinct (cardinality, sum) pairs
+        path = tmp_path / "k32.json"
+        path.write_text(json.dumps({"left": 32, "right": 32, "edges": [
+            [a, b] for a in range(1, 33) for b in range(1, 33)]}))
+        files = {"K32_32": str(path),
+                 "POWERS": ",".join(str(2 ** k) for k in range(15))}
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
+        code, _, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+        assert code == 3
+        assert err.rstrip().endswith(f"{tail} (budget {budget})")
+
     def test_count_pm_refuses_wide_graph(self, tmp_path):
         # a fresh process with a timeout: an unbudgeted loop over 2^64
         # column subsets would never end
@@ -566,6 +588,48 @@ class TestFuzzedFiles:
         argv = [command[0], files["INSTANCE"], "--mechanism", mechanism]
         argv += [files.get(arg, arg) for arg in command[1:]]
         code, _out, _err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3)
+
+
+@st.composite
+def graph_json(draw):
+    """A small bipartite graph in the file format, sometimes with one field
+    replaced by any JSON."""
+    left, right = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pairs = [[a, b] for a in range(1, left + 1) for b in range(1, right + 1)]
+    data = {"left": left, "right": right,
+            "edges": draw(st.lists(st.sampled_from(pairs), unique_by=tuple))
+            if pairs else []}
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=1)):
+        data[key] = draw(ANY_JSON)
+    return data
+
+
+GRAPH_COMMANDS = st.sampled_from([
+    ("generate", "--kind", "reduction1"),
+    ("generate", "--kind", "reduction1", "--full-support"),
+    ("generate", "--kind", "reduction2"),
+    ("generate", "--kind", "reduction2-manip"),
+    ("generate", "--kind", "reduction3", "-r", "1"),
+    ("oracle", "--kind", "count-pm"),
+    ("oracle", "--kind", "min-maximal"),
+])
+
+
+class TestFuzzedGraphFiles:
+    """Whatever JSON a graph file holds, the graph commands end with exit
+    code 0, 2 or 3, never a traceback."""
+
+    # every example sets the same budget and overwrites the same file
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=GRAPH_COMMANDS, graph=graph_json() | ANY_JSON)
+    def test_exit_codes(self, capsys, monkeypatch, tmp_path, command, graph):
+        # small enough that the oracles can exceed it (exit 3)
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", "8")
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        code, _out, _err = run_cli(capsys, *command, "--graph", str(path))
         assert code in (0, 2, 3)
 
 

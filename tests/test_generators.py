@@ -6,10 +6,12 @@ import pytest
 from onlinefair import (
     BadR,
     BipartiteGraph,
+    BudgetExceeded,
     Distribution,
     EmptyGraph,
     FixedOrder,
     InputError,
+    Instance,
     Mechanism,
     NotSubdivisionShaped,
     NotThreeRegular,
@@ -173,6 +175,16 @@ class TestMinMaximalMatching:
         with pytest.raises(EmptyGraph):
             min_maximal_matching_size(make_graph(2, 2, []))
 
+    @pytest.mark.parametrize("graph, nodes", [(hexagon_cycle(), 41),
+                                              (full_3x3(), 115),
+                                              (pentagon_complement(), 1107)])
+    def test_nodes_walked(self, graph, nodes):
+        # the search takes each edge before skipping it, so a maximal
+        # matching found early prunes the rest; the budget counts the nodes
+        assert min_maximal_matching_size(graph, budget=nodes) >= 1
+        with pytest.raises(BudgetExceeded, match=f"walked {nodes} nodes"):
+            min_maximal_matching_size(graph, budget=nodes - 1)
+
 
 class TestSubsetOracle:
     def test_known_values(self):
@@ -239,6 +251,11 @@ class TestReduction1:
         with pytest.raises(SideMismatch):
             reduction1_instance(make_graph(2, 3, [(0, 0)]))
 
+    def test_rejects_empty_graph(self):
+        for edge_restricted in (True, False):
+            with pytest.raises(InputError, match="at least one item"):
+                reduction1_instance(make_graph(0, 0, []), edge_restricted)
+
 
 class TestReduction2:
     def test_full_3x3_shape(self):
@@ -285,6 +302,14 @@ class TestReduction2:
         # the decoy is the collector's alone
         decoy_likers = [i for i in range(10) if inst.utilities[i][10] > 0]
         assert decoy_likers == [collector]
+
+    @pytest.mark.parametrize("graph", [full_3x3(), cube_graph(), pentagon_complement()])
+    def test_manip_variant_minus_decoy_is_plain_gadget(self, graph):
+        manip, plain = reduction2_manip_instance(graph), reduction2_instance(graph)
+        decoy = 3 * graph.left + 1
+        rows = tuple(row[:decoy] + row[decoy + 1:] for row in manip.utilities)
+        assert Instance(manip.n, manip.m - 1, rows,
+                        FixedOrder(tuple(range(manip.m - 1)))) == plain
 
 
 class TestReduction3:
