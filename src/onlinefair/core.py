@@ -69,8 +69,11 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         match = _RATIONAL_RE.match(value.strip())
         if match is None:
             raise InputError(f"not an exact rational literal: {value!r}")
-        numerator = int(match.group(1))
-        denominator = int(match.group(2)) if match.group(2) else 1
+        try:
+            numerator = int(match.group(1))
+            denominator = int(match.group(2)) if match.group(2) else 1
+        except ValueError as exc:  # over the int string conversion limit
+            raise InputError(f"rational literal too long: {exc}") from exc
         if denominator == 0:
             raise InputError(f"zero denominator: {value!r}")
         return Fraction(numerator, denominator)

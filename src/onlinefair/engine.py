@@ -23,11 +23,12 @@ probability a / q split over f feasible agents is the exact int
 ``a * (L // f)``, and dividing out the gcd after every moment keeps the
 frontier in lowest terms.  Completion factors are ints over one common
 denominator, and the credits of a moment become one ``Fraction`` per (agent,
-item), so every answer is still exact.  The owner-level stepper refines the
-count-state key to (arrived mask, one bundle mask per agent) to expose
-intermediate allocations.  The Monte Carlo sampler draws every uncertain
-column once per sample.  Possibility is positivity of the exact answer, and
-necessity is a threshold on it.
+item), so every answer is still exact.  The owner-level stepper keys the
+frontier on (arrived mask, one bundle mask per agent) to expose intermediate
+allocations, steps the same int shares over one scale, and takes its void
+mass as the complement of the surviving mass.  The Monte Carlo sampler draws
+every uncertain column once per sample.  Possibility is positivity of the
+exact answer, and necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -58,11 +59,10 @@ from .core import (
     OutcomeReport,
     check_allocation_state,
 )
-from .arrivals import _columns, _plan
+from .arrivals import _columns, _plan, _scaled_columns
 from .mechanisms import Mechanism, feasible_for_counts
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UnsupportedQuery(InputError):
@@ -133,6 +133,21 @@ def _checked_prefix(ctx: QueryContext):
     return arrived, state
 
 
+def _lowest_terms(frontier, scale: int) -> int:
+    """Divide ``scale`` and every frontier value in place by their gcd (found
+    with an early exit at 1) and return the reduced scale."""
+    common = scale
+    for value in frontier.values():
+        if common == 1:
+            break
+        common = math.gcd(common, value)
+    if common > 1:
+        scale //= common
+        for key in frontier:
+            frontier[key] //= common
+    return scale
+
+
 def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
           budget: int):
     """Advance a count-state frontier over one moment.
@@ -171,15 +186,12 @@ def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
                 gained[feas] = gained.get(feas, 0) + share * tail
             if not (sized and feas):  # the sizes stay as they are
                 key = (mask2, counts)
-                acc = successors.get(key)
-                whole = weight * shares[0]
-                successors[key] = whole if acc is None else acc + whole
+                successors[key] = successors.get(key, 0) + weight * shares[0]
                 continue
             for agent in feas:
                 key = (mask2, counts[:agent] + (counts[agent] + 1,)
                        + counts[agent + 1:])
-                acc = successors.get(key)
-                successors[key] = share if acc is None else acc + share
+                successors[key] = successors.get(key, 0) + share
         for feas, credit in gained.items():
             for agent in feas:
                 key = (agent, item)
@@ -190,16 +202,7 @@ def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
             f"moment {moment + 1} of {len(columns)} (budget {budget})")
     scale *= grow
     unit *= scale  # credits are over the unreduced scale times C
-    common = scale
-    for value in successors.values():
-        if common == 1:
-            break
-        common = math.gcd(common, value)
-    if common > 1:
-        scale //= common
-        for key in successors:
-            successors[key] //= common
-    return successors, scale, credits, unit
+    return successors, _lowest_terms(successors, scale), credits, unit
 
 
 def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
@@ -236,15 +239,15 @@ def _owner_states(ctx: QueryContext, moments: int):
     """Owner-level states after the next ``moments`` arrivals, from the empty
     allocation or from the known prefix.
 
-    The frontier refines the count-state key: it maps (arrived mask, one
-    bundle mask per agent) to the probability of reaching that allocation
-    without a void, and Balanced Like reads each bundle size as the mask's
-    bit count.  Returns (list of (arrived frozenset, AllocationState), void
-    mass), sorted by arrived mask, then bundle masks; the void mass gathers
-    every no-arrival draw and repeated item, so it is zero for a fixed
-    ordering.  The states repeat most bundles, so one frozenset is built per
-    distinct mask: sharing them leaves far fewer live containers for cyclic
-    garbage collection to scan.
+    The frontier maps (arrived mask, one bundle mask per agent) to an int
+    over one scale, stepped with ``_step``'s shares but no completion factor;
+    Balanced Like reads each bundle size as the mask's bit count.  Returns
+    (list of (arrived frozenset, AllocationState), void mass), sorted by
+    arrived mask, then bundle masks.  The void mass, one minus the surviving
+    mass, gathers every no-arrival draw and repeated item, so it is zero for
+    a fixed ordering.  The states repeat most bundles, so one frozenset is
+    built per distinct mask: sharing them leaves far fewer live containers
+    for cyclic garbage collection to scan.
     """
     mechanism, budget = ctx.mechanism, ctx.budget
     n, m = ctx.instance.n, ctx.instance.m
@@ -257,44 +260,38 @@ def _owner_states(ctx: QueryContext, moments: int):
     if not 0 <= moments <= remaining:
         raise InputError(f"moments must be within 0..{remaining}")
     positive = _positive_bidders(_bid_rows(ctx))
-    columns = _columns(ctx.instance.arrival)
-    frontier = {(sum(1 << k for k in arrived), start): ONE}
-    void = ZERO
+    columns = _scaled_columns(_columns(ctx.instance.arrival), n)
+    frontier, scale = {(sum(1 << k for k in arrived), start): 1}, 1
     for moment in range(len(arrived), len(arrived) + moments):
-        column = columns[moment]
-        residual = ONE - sum((delta for _item, _bit, delta in column), ZERO)
+        grow, entries = columns[moment]
         successors: dict = {}
-        for (mask, bundles), prob in frontier.items():
+        for (mask, bundles), weight in frontier.items():
             counts = tuple(map(int.bit_count, bundles))
-            if residual:
-                void += prob * residual
-            for item, bit, delta in column:
-                weight = prob if delta == 1 else prob * delta
+            for item, bit, shares in entries:
                 if mask & bit:
-                    void += weight
                     continue
                 feas = feasible_for_counts(mechanism, counts, positive[item])
-                if not feas:
+                share = weight * shares[len(feas)]
+                if not feas:  # nobody may take the item: the bundles stay
                     key = (mask | bit, bundles)
-                    acc = successors.get(key)
-                    successors[key] = weight if acc is None else acc + weight
+                    successors[key] = successors.get(key, 0) + share
                     continue
-                share = weight / len(feas)
                 for agent in feas:
                     key = (mask | bit, bundles[:agent] + (bundles[agent] | bit,)
                            + bundles[agent + 1:])
-                    acc = successors.get(key)
-                    successors[key] = share if acc is None else acc + share
+                    successors[key] = successors.get(key, 0) + share
         if len(successors) > budget:
             raise BudgetExceeded(
                 f"owner-level frontier reached {len(successors)} states at "
                 f"moment {moment + 1} of {m} (budget {budget})")
-        frontier = successors
+        frontier, scale = successors, _lowest_terms(successors, scale * grow)
+    void = 1 - Fraction(sum(frontier.values()), scale)
     masks = {mask for key in frontier for mask in (key[0], *key[1])}
     items = {mask: frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
              for mask in masks}.__getitem__
-    return [(items(mask), AllocationState(tuple(map(items, bundles)), prob))
-            for (mask, bundles), prob in sorted(frontier.items())], void
+    return [(items(mask), AllocationState(tuple(map(items, bundles)),
+                                          Fraction(value, scale)))
+            for (mask, bundles), value in sorted(frontier.items())], void
 
 
 # --- fixed ordering ----------------------------------------------------------

@@ -259,10 +259,11 @@ def subset_sum_bc(s: SubsetInstance,
                   budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
     """Does some cardinality-c subset of the values sum to b?  Decided by a
     reachable (cardinality, sum) table, which at most doubles per value;
-    raises BudgetExceeded once it holds more than ``budget`` pairs."""
+    pairs of cardinality c are kept but never extended.  Raises
+    BudgetExceeded once the table holds more than ``budget`` pairs."""
     reachable = {(0, 0)}
     for count, v in enumerate(s.values, 1):
-        reachable |= {(k + 1, t + v) for k, t in reachable}
+        reachable |= {(k + 1, t + v) for k, t in reachable if k < s.c}
         if len(reachable) > budget:
             raise BudgetExceeded(
                 f"subset-sum table reached {len(reachable)} (cardinality, sum) "

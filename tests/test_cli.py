@@ -326,14 +326,15 @@ class TestOracle:
         (("oracle", "--kind", "min-maximal", "--graph", "K32_32"), "10000",
          "walked 10001 nodes"),
         (("oracle", "--kind", "subset-sum", "--values", "POWERS", "-b", "3",
-          "-c", "2"), "1000", "after 10 of 15 values"),
+          "-c", "8"), "1000", "after 10 of 15 values"),
         (("generate", "--kind", "subset", "--values", "POWERS", "-b", "3",
-          "-c", "2"), "1000", "after 10 of 15 values"),
+          "-c", "8"), "1000", "after 10 of 15 values"),
     ], ids=["min-maximal", "subset-sum", "generate-subset"])
     def test_reads_budget_on_large_inputs(self, capsys, monkeypatch, tmp_path,
                                           argv, budget, tail):
-        # K32,32 has 1,024 edges, one search level each; 2^0..2^14 give the
-        # subset-sum table 2^15 distinct (cardinality, sum) pairs
+        # K32,32 has 1,024 edges, one search level each; every subset of
+        # 2^0..2^14 has its own sum, so the subset-sum table holds one pair
+        # per subset of at most 8 values: 511 after 9 values, 1,013 after 10
         path = tmp_path / "k32.json"
         path.write_text(json.dumps({"left": 32, "right": 32, "edges": [
             [a, b] for a in range(1, 33) for b in range(1, 33)]}))
@@ -361,6 +362,13 @@ class TestOracle:
         out = run_json(capsys, "oracle", "--kind", "subset-sum",
                        "--values", "1,2,3", "-b", "7", "-c", "2")
         assert out["answer"] is False
+
+    def test_subset_sum_grows_only_pairs_below_c(self, capsys):
+        # 2^30 subsets, but only 1 + 30 + 435 pairs of cardinality at most 2
+        powers = ",".join(str(2 ** k) for k in range(30))
+        out = run_json(capsys, "oracle", "--kind", "subset-sum",
+                       "--values", powers, "-b", "3", "-c", "2")
+        assert out["answer"] is True
 
 
 class TestSample:
@@ -509,6 +517,79 @@ class TestStrictInputTypes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+DEEP = "[" * 100_000            # json.load raises RecursionError
+HUGE = "9" * 5000               # past the 4,300-digit int conversion limit
+PAIR_TEXT = json.dumps(PAIR)
+
+
+class TestOversizedInputs:
+    """Deeply nested JSON and integer literals over 4,300 digits are input
+    errors (exit 2) in every file argument and in ``--threshold``.  The files
+    are written as raw text, since ``json.dump`` cannot write the literal."""
+
+    @staticmethod
+    def expect_input_error(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", [
+        DEEP,
+        PAIR_TEXT.replace('"1"', HUGE, 1),
+        PAIR_TEXT.replace('"1"', f'"{HUGE}"', 1),
+        PAIR_TEXT.replace('"1"', f'"1/{HUGE}"', 1),
+    ], ids=["deep", "number", "integer-string", "denominator"])
+    def test_instance(self, capsys, tmp_path, text):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        self.expect_input_error(capsys, "outcome", str(path), "--query", "exact",
+                                "--mechanism", "like", "--agent", "1")
+
+    @pytest.mark.parametrize("text", [
+        DEEP,
+        f'{{"arrived": [{HUGE}], "bundles": [[], []]}}',
+        f'{{"arrived": [1], "bundles": [[1], []], "probability": "{HUGE}/1"}}',
+    ], ids=["deep", "number", "rational"])
+    def test_prefix(self, capsys, pair_instance, tmp_path, text):
+        path = tmp_path / "prefix.json"
+        path.write_text(text)
+        self.expect_input_error(capsys, "outcome", pair_instance, "--query",
+                                "exact", "--mechanism", "balanced-like",
+                                "--agent", "1", "--prefix", str(path))
+
+    @pytest.mark.parametrize("text", [
+        DEEP, f'[{HUGE}, 1, 1]', f'["{HUGE}", "1", "1"]',
+    ], ids=["deep", "number", "rational"])
+    def test_deviation(self, capsys, witness_instance, tmp_path, text):
+        path = tmp_path / "dev.json"
+        path.write_text(text)
+        self.expect_input_error(capsys, "manipulate", witness_instance, "--mode",
+                                "exact", "--agent", "3", "--deviation", str(path))
+
+    @pytest.mark.parametrize("text", [
+        DEEP, f'{{"left": {HUGE}, "right": 1, "edges": []}}',
+    ], ids=["deep", "number"])
+    def test_graph(self, capsys, tmp_path, text):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        self.expect_input_error(capsys, "oracle", "--kind", "count-pm",
+                                "--graph", str(path))
+
+    @pytest.mark.parametrize("threshold", [HUGE, f"1/{HUGE}"],
+                             ids=["integer", "denominator"])
+    def test_threshold(self, capsys, pair_instance, witness_instance, tmp_path,
+                       threshold):
+        self.expect_input_error(capsys, "outcome", pair_instance, "--query",
+                                "necessary", "--mechanism", "like", "--agent",
+                                "1", "--threshold", threshold)
+        path = tmp_path / "dev.json"
+        path.write_text('["0", "1", "1"]')
+        self.expect_input_error(capsys, "manipulate", witness_instance, "--mode",
+                                "necessary", "--agent", "3", "--deviation",
+                                str(path), "--threshold", threshold)
 
 
 FIELDS = st.sampled_from(["agents", "items", "utilities", "arrival", "type",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -209,22 +210,40 @@ class TestFixedOrderEnumeration:
 class TestOwnerLevelViews:
     """The owner-level frontier against the count-state kernel."""
 
+    @staticmethod
+    def priced(states, inst):
+        # P(agent i holds item k): the mass of the states whose bundle i has k
+        return [[sum((s.probability for s in states if k in s.bundles[i]), F(0))
+                 for k in range(inst.m)] for i in range(inst.n)]
+
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(with_bids(fixed_instances(max_m=5)),
                      with_bids(distribution_instances())),
            st.sampled_from(list(Mechanism)))
     def test_final_states_price_to_the_kernel(self, case, mechanism):
-        # P(agent i receives item k) is the mass of the states whose bundle
-        # i holds k, under fixed orders and distributions alike
+        # under fixed orders and distributions alike
         inst, bids = case
         ctx = QueryContext(inst, mechanism, BidProfile(bids))
         if isinstance(inst.arrival, FixedOrder):
             states = allocation_states_after(ctx, inst.m)
         else:
             states = [s for _arrived, s in distribution_states_after(ctx, inst.m)[0]]
-        priced = [[sum((s.probability for s in states if k in s.bundles[i]), F(0))
-                   for k in range(inst.m)] for i in range(inst.n)]
-        assert priced == [list(r) for r in outcome_report(ctx).allocation_probability]
+        assert self.priced(states, inst) \
+            == [list(r) for r in outcome_report(ctx).allocation_probability]
+
+    @settings(max_examples=60, deadline=None)
+    @given(with_bids(fixed_instances(max_m=5)), st.sampled_from(list(Mechanism)))
+    def test_every_depth_prices_to_the_kernel(self, case, mechanism):
+        # after d arrivals of a fixed order, each of the first d items is
+        # held as the kernel says and no later item is held yet
+        inst, bids = case
+        ctx = QueryContext(inst, mechanism, BidProfile(bids))
+        kernel = outcome_report(ctx).allocation_probability
+        for d in range(inst.m + 1):
+            placed = set(inst.arrival.order[:d])
+            expected = [[p if k in placed else 0 for k, p in enumerate(row)]
+                        for row in kernel]
+            assert self.priced(allocation_states_after(ctx, d), inst) == expected
 
     def test_states_after_a_known_prefix_extend_it(self):
         rng = random.Random(31)
@@ -356,6 +375,19 @@ class TestDistribution:
         for moments in range(inst.m + 1):
             states, aborted = distribution_states_after(ctx, moments)
             assert sum((s.probability for _, s in states), F(0)) + aborted == F(1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(distribution_instances(), st.sampled_from(list(Mechanism)))
+    def test_aborted_mass_misses_every_repeat_free_sequence(self, inst, mechanism):
+        # checked from the arrival matrix alone: the surviving mass after d
+        # draws is the mass of the repeat-free item sequences of length d
+        matrix = inst.arrival.matrix
+        ctx = QueryContext(inst, mechanism)
+        for moments in range(inst.m + 1):
+            alive = sum((math.prod((matrix[k][j] for j, k in enumerate(seq)), start=F(1))
+                         for seq in itertools.permutations(range(inst.m), moments)),
+                        F(0))
+            assert distribution_states_after(ctx, moments)[1] == 1 - alive
 
     def test_states_after_budget_exceeded(self):
         # either item may arrive first and go to either agent: four states
