@@ -55,7 +55,6 @@ from .generators import (
     NotThreeRegular,
     SideMismatch,
     SubsetInstance,
-    brute_force_perfect_matchings,
     complete_bipartite,
     complete_minus_even_cycle,
     complete_minus_perfect_matching,

@@ -306,7 +306,12 @@ def _run_generate(args) -> dict:
             "subset_exists": subset_sum_bc(subset, _budget()),
         }
     if kind == "random":
-        instance = random_instance(args.agents, args.items, args.seed,
+        n, m, budget = args.agents, args.items, _budget()
+        cells = n * m + (m * m if args.arrival == "distribution" else 0)
+        if n > 0 and m > 0 and cells > budget:
+            raise BudgetExceeded(
+                f"a random instance needs {cells} cells (budget {budget})")
+        instance = random_instance(n, m, args.seed,
                                    arrival=args.arrival, values=args.utility_kind)
         return instance_to_json_dict(instance)
     raise InputError(f"unknown generate kind {kind!r}")

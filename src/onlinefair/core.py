@@ -12,6 +12,7 @@ Agent and item indices are 0-based throughout the library; the JSON formats
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -81,10 +82,21 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as ``p/q``, or bare ``p`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as ``p/q``, or bare ``p`` when the denominator is 1.
+
+    Python's int string conversion limit is kept to refuse huge input
+    literals, but an exact answer may pass it, so it is lifted while such an
+    answer is written.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _rational_matrix(rows, *, what: str) -> tuple[tuple[Fraction, ...], ...]:

@@ -8,9 +8,10 @@ Three information settings are supported:
 * a prefix of arrivals and its allocation are known and nothing is known
   about future items (``QueryContext.known_prefix``).
 
-Every arrival model is read as one column per moment (``arrivals.py``): a fixed
-ordering is one certain item per moment, a distribution a column of arrival
-probabilities.  Three loops step over these columns.  The count-state kernel
+Every arrival model is read as one integer column per moment
+(``arrivals.py``): a fixed ordering is one certain item per moment, a
+distribution a column of arrival probabilities a / q over the column's lcm
+denominator q.  Three loops step over these columns.  The count-state kernel
 behind ``outcome_report`` gives every exact outcome: Balanced Like gives an
 item to the positive bidders holding the fewest items, so its frontier maps
 (arrived-item bitmask, bundle-size vector) to reach probability, Like drops
@@ -26,7 +27,8 @@ denominator, and the credits of a moment become one ``Fraction`` per (agent,
 item), so every answer is still exact.  The owner-level stepper keys the
 frontier on (arrived mask, one bundle mask per agent) to expose intermediate
 allocations, steps the same int shares over one scale, and takes its void
-mass as the complement of the surviving mass.  The Monte Carlo sampler draws
+mass as the complement of the surviving mass; the online queries are one
+owner-level step from the known prefix.  The Monte Carlo sampler draws
 every uncertain column once per sample.  Possibility is positivity of the
 exact answer, and necessity is a threshold on it.
 
@@ -331,44 +333,37 @@ def distribution_states_after(ctx: QueryContext, moments: int):
 # --- the online (known prefix) setting ---------------------------------------
 
 
-def _next_placements(ctx: QueryContext, arrived, state):
-    """(item, arrival probability, feasible agents) for each fresh item of
-    the moment after the known prefix; an arrived item carries no mass (a
-    repeat voids the run)."""
-    positive = _positive_bidders(_bid_rows(ctx))
-    counts = state.counts
-    for column in _columns(ctx.instance.arrival)[len(arrived):len(arrived) + 1]:
-        for item, _bit, delta in column:
-            if item not in arrived:
-                yield item, delta, feasible_for_counts(
-                    ctx.mechanism, counts, positive[item])
+def _next_moment(ctx: QueryContext):
+    """(the known prefix's state, the owner-level states one moment later).
+    With every item arrived there is no next moment, and the one state is
+    the prefix's own."""
+    if ctx.known_prefix is None:
+        raise UnsupportedQuery("online queries need a known prefix")
+    arrived, state = ctx.known_prefix
+    return state, _owner_states(ctx, min(1, ctx.instance.m - len(arrived)))[0]
 
 
 def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
     """Each agent's probability of receiving whatever arrives next.
 
-    Requires a known prefix.  With j items arrived, the moment j+1 column of
-    the arrival model is combined with per-item feasibility in the known
-    state.  Runs in O(m*n).
+    Requires a known prefix.  One owner-level step from the known state: an
+    agent's probability is the mass of the successors in which its bundle
+    grew.
     """
-    if ctx.known_prefix is None:
-        raise UnsupportedQuery("next_item_probability needs a known prefix")
-    arrived, state = _checked_prefix(ctx)
-    result = [ZERO] * ctx.instance.n
-    for _item, delta, feas in _next_placements(ctx, arrived, state):
-        for agent in feas:
-            result[agent] += delta / len(feas)
-    return tuple(result)
+    state, successors = _next_moment(ctx)
+    held = state.counts
+    return tuple(sum((after.probability for _arrived, after in successors
+                      if len(after.bundles[i]) > held[i]), ZERO)
+                 for i in range(ctx.instance.n))
 
 
 def online_utilities(ctx: QueryContext) -> tuple[Fraction, ...]:
     """Per-agent utility at the next moment: value already held plus the
-    probability of winning the next arrival.  O(m*n)."""
-    _arrived, state = _checked_prefix(ctx)
+    probability of winning the next arrival."""
     nxt = next_item_probability(ctx)
-    return tuple(
-        state.utility_of(i, ctx.instance.utilities) + nxt[i]
-        for i in range(ctx.instance.n))
+    state = ctx.known_prefix[1]
+    return tuple(state.utility_of(i, ctx.instance.utilities) + p
+                 for i, p in enumerate(nxt))
 
 
 # --- dispatching queries ------------------------------------------------------
@@ -416,10 +411,9 @@ def possible_item(ctx: QueryContext, agent: int, item: int) -> bool:
     """
     if ctx.known_prefix is None:
         return outcome_report(ctx).allocation_probability[agent][item] > 0
-    arrived, state = _checked_prefix(ctx)
+    state, successors = _next_moment(ctx)
     return item in state.bundles[agent] or any(
-        fresh == item and agent in feas
-        for fresh, _delta, feas in _next_placements(ctx, arrived, state))
+        item in after.bundles[agent] for _arrived, after in successors)
 
 
 def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
@@ -433,8 +427,8 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     """
     if not any(agent in bidders for bidders in _positive_bidders(_bid_rows(ctx))):
         raise NoPositiveBranch(f"agent {agent} bids positively on nothing")
-    floors = [min(delta for _item, _bit, delta in column)
-              for column in _columns(ctx.instance.arrival) if column]
+    floors = [Fraction(min(a for _item, _bit, a in column), q)
+              for q, column in _columns(ctx.instance.arrival) if column]
     if not floors:
         raise NoPositiveBranch("no item ever arrives under this distribution")
     return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m
@@ -472,12 +466,12 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
     fixed_mask = sum(1 << item for item in arrived)
     sequence = [-1] * len(columns)
     draws = []
-    for moment, column in enumerate(columns):
-        if len(column) == 1 and column[0][2] == 1 and not fixed_mask & column[0][1]:
+    for moment, (q, column) in enumerate(columns):
+        if len(column) == 1 and column[0][2] == q and not fixed_mask & column[0][1]:
             fixed_mask |= column[0][1]
             sequence[moment] = column[0][0]
         else:
-            draws.append((moment, [(item, float(delta)) for item, _bit, delta in column]))
+            draws.append((moment, [(item, a / q) for item, _bit, a in column]))
     rng = random.Random(seed)
     totals = [0.0] * n
     for _ in range(samples):

@@ -471,15 +471,3 @@ def random_instance(n: int, m: int, seed: int, *, arrival: str = "order",
         raise InputError(f"unknown arrival kind {arrival!r}")
     return validate_instance(Instance(n, m, tuple(rows), model))
 
-
-def brute_force_perfect_matchings(g: BipartiteGraph) -> int:
-    """Permutation-enumeration matching count, kept as an independent check
-    on the inclusion-exclusion permanent."""
-    if g.left != g.right:
-        raise SideMismatch(
-            f"perfect matchings need equal sides, got {g.left} and {g.right}")
-    count = 0
-    for perm in itertools.permutations(range(g.right)):
-        if all((a, b) in g.edges for a, b in enumerate(perm)):
-            count += 1
-    return count

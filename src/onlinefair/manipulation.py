@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import (DEFAULT_ENUMERATION_BUDGET, BidProfile, BudgetExceeded,
                    InputError, Instance, parse_rational)
-from .arrivals import _columns, _plan
-from .engine import QueryContext, _bid_rows, _positive_bidders, _step, exact_utility
+from .arrivals import _plan
+from .engine import QueryContext, _positive_bidders, _step, exact_utility
 from .mechanisms import Mechanism
 
 ZERO = Fraction(0)
@@ -110,24 +110,22 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     if m > max_items:
         raise BudgetExceeded(
             f"best-response search over 2^{m} rows exceeds the {max_items}-item cap")
-    utilities = _bid_rows(QueryContext(instance, mechanism, BidProfile.sincere(instance)))
-    columns = _columns(instance.arrival)
     plan = _plan(instance.arrival, n, budget)
     # bits are decided in ``order``: items by first arrival, then the rest
-    order = list(dict.fromkeys([item for column in columns
-                                for item, _bit, _p in column] + list(range(m))))
+    order = list(dict.fromkeys([item for _grow, entries in plan[0]
+                                for item, _bit, _shares in entries] + list(range(m))))
     rank = {item: depth for depth, item in enumerate(order, 1)}
     steps = [[] for _ in range(m + 1)]  # moments stepped at each depth
     need = 0
-    for moment, column in enumerate(columns):
-        need = max([need] + [rank[item] for item, _bit, _p in column])
+    for moment, (_grow, entries) in enumerate(plan[0]):
+        need = max([need] + [rank[item] for item, _bit, _shares in entries])
         steps[need].append(moment)
     # each item's positive bidders when the agent bids 0 / 1 on it
     choices = [(tuple(i for i in b if i != agent), tuple(sorted({*b, agent})))
-               for b in _positive_bidders(utilities)]
+               for b in _positive_bidders(instance.utilities)]
     positive = [None] * m  # filled in as the bits are decided
     weight = [1 << (m - 1 - k) for k in range(m)]
-    true_row = utilities[agent]
+    true_row = instance.utilities[agent]
     sincere_bits = sum(weight[k] for k in range(m) if true_row[k])
     # the true row as ints over one denominator prices a step's credits
     # with one Fraction

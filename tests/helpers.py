@@ -108,26 +108,29 @@ def naive_distribution_outcome(instance, mechanism, bids=None):
     return utility, alloc
 
 
-def naive_online_possible_items(instance, mechanism, arrived, bundles, bids=None):
-    """The (agent, item) pairs possible one moment after a known prefix, by
-    enumerating the next arrival column: every held pair, plus each feasible
-    positive bidder of a fresh item that can arrive next."""
+def naive_next_moment(instance, mechanism, arrived, bundles, bids=None):
+    """{(agent, item): probability} that the agent wins the item at the
+    moment after a known prefix, by enumerating the next arrival column:
+    each fresh item that can arrive next is split evenly over its feasible
+    positive bidders, and an already-arrived item voids the run."""
     n, m = instance.n, instance.m
     rows = instance.utilities if bids is None else bids
-    pairs = {(i, k) for i, bundle in enumerate(bundles) for k in bundle}
     j = len(arrived)
     if j == m:
-        return pairs
+        return {}
     if isinstance(instance.arrival, FixedOrder):
-        column = [instance.arrival.order[j]]
+        column = {instance.arrival.order[j]: F(1)}
     else:
-        column = [k for k in range(m) if instance.arrival.matrix[k][j] > 0]
+        column = {k: instance.arrival.matrix[k][j] for k in range(m)
+                  if instance.arrival.matrix[k][j] > 0}
     counts = [len(bundle) for bundle in bundles]
-    for item in column:
+    wins = {}
+    for item, p in column.items():
         if item not in arrived:
             likers = [i for i in range(n) if rows[i][item] > 0]
-            pairs.update((i, item) for i in feasible_likers(mechanism, counts, likers))
-    return pairs
+            chosen = feasible_likers(mechanism, counts, likers)
+            wins.update(((i, item), p / len(chosen)) for i in chosen)
+    return wins
 
 
 def exact_variance(instance, mechanism, ctx_states, aborted=None):

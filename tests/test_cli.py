@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,14 @@ class TestGenerate:
                        "--mechanism", "like", "--agent", "1")
         assert "value" in out
 
+    def test_random_reads_budget(self, capsys, monkeypatch):
+        # 3 x 6 utilities plus a 6 x 6 arrival matrix
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", "10")
+        code, out, err = run_cli(capsys, "generate", "--kind", "random", "-n", "3",
+                                 "-m", "6", "--arrival", "distribution")
+        assert code == 3 and out == ""
+        assert err.rstrip().endswith("54 cells (budget 10)")
+
     def test_graph_file_input(self, capsys, tmp_path):
         graph = {"left": 2, "right": 2,
                  "edges": [[1, 1], [1, 2], [2, 1], [2, 2]]}
@@ -414,6 +423,20 @@ class TestExitCodes:
                                "--agent", "1")
         assert code == 3
         assert "budget" in err.lower()
+
+    @pytest.mark.parametrize("query", [("exact",), ("possible", "--item", "2")])
+    def test_online_queries_read_budget(self, capsys, monkeypatch, pair_instance,
+                                        tmp_path, query):
+        # under Like either agent may win item 2: two owner-level successors
+        path = tmp_path / "prefix.json"
+        path.write_text(json.dumps({"arrived": [1], "bundles": [[], [1]]}))
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", "1")
+        code, out, err = run_cli(capsys, "outcome", pair_instance, "--query",
+                                 *query, "--mechanism", "like", "--agent", "1",
+                                 "--prefix", str(path))
+        assert code == 3 and out == ""
+        assert err.rstrip().endswith(
+            "owner-level frontier reached 2 states at moment 2 of 2 (budget 1)")
 
     def test_invalid_budget_env(self, capsys, monkeypatch, pair_instance):
         monkeypatch.setenv("ONLINEFAIR_BUDGET", "many")
@@ -577,6 +600,28 @@ class TestOversizedInputs:
         path.write_text(text)
         self.expect_input_error(capsys, "oracle", "--kind", "count-pm",
                                 "--graph", str(path))
+
+    def test_long_answer_is_printed_in_full(self, capsys, tmp_path):
+        # each literal is within the conversion limit, but the sum's
+        # denominator has 5,001 digits; a long literal is still refused after
+        big = 10 ** 2500
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "agents": 1, "items": 2, "arrival": {"type": "order", "order": [1, 2]},
+            "utilities": [[f"1/{big + 1}", f"1/{big + 3}"]]}))
+        out = run_json(capsys, "outcome", str(path), "--query", "exact",
+                       "--mechanism", "like", "--agent", "1")
+        numerator, denominator = out["value"].split("/")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            value = Fraction(int(numerator), int(denominator))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert value == Fraction(1, big + 1) + Fraction(1, big + 3)
+        path.write_text(PAIR_TEXT.replace('"1"', f'"{HUGE}"', 1))
+        self.expect_input_error(capsys, "outcome", str(path), "--query", "exact",
+                                "--mechanism", "like", "--agent", "1")
 
     @pytest.mark.parametrize("threshold", [HUGE, f"1/{HUGE}"],
                              ids=["integer", "denominator"])

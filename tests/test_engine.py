@@ -38,7 +38,7 @@ from onlinefair.engine import _positive_bidders, _step
 from helpers import (
     naive_distribution_outcome,
     naive_fixed_order_outcome,
-    naive_online_possible_items,
+    naive_next_moment,
     random_distribution_instance,
     random_fixed_instance,
 )
@@ -545,10 +545,24 @@ class TestOnlineQueries:
                 inst, Mechanism.LIKE,
                 known_prefix=((0, 0), AllocationState.initial(2))))
 
+    def test_online_queries_honour_the_budget(self):
+        # under Like all three agents may win item 2: three successors
+        inst = all_ones(3, 3, FixedOrder((0, 1, 2)))
+        state = AllocationState((frozenset({0}), frozenset(), frozenset()), F(1))
+        ctx = QueryContext(inst, Mechanism.LIKE, known_prefix=((0,), state), budget=3)
+        assert next_item_probability(ctx) == (F(1, 3),) * 3
+        for query in (next_item_probability, online_utilities,
+                      lambda c: possible_item(c, 0, 1)):
+            with pytest.raises(BudgetExceeded, match=r"^owner-level frontier reached "
+                               r"3 states at moment 2 of 3 \(budget 2\)$"):
+                query(ctx._replace(budget=2))
+
     def test_prefix_required(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
         with pytest.raises(UnsupportedQuery):
             next_item_probability(QueryContext(inst, Mechanism.LIKE))
+        with pytest.raises(UnsupportedQuery):
+            online_utilities(QueryContext(inst, Mechanism.LIKE))
 
     def test_outcome_report_rejects_prefix(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
@@ -611,10 +625,17 @@ class TestPossibility:
             for mechanism in Mechanism:
                 ctx = QueryContext(inst, mechanism, bids and BidProfile(bids),
                                    known_prefix=(arrived, state))
+                wins = naive_next_moment(inst, mechanism, arrived, bundles, bids)
+                held = {(i, k) for i, bundle in enumerate(bundles) for k in bundle}
                 possible = {(i, k) for i in range(inst.n) for k in range(inst.m)
                             if possible_item(ctx, i, k)}
-                assert possible == naive_online_possible_items(
-                    inst, mechanism, arrived, bundles, bids)
+                assert possible == held | set(wins)
+                nxt = tuple(sum((p for (i, _k), p in wins.items() if i == agent), F(0))
+                            for agent in range(inst.n))
+                assert next_item_probability(ctx) == nxt
+                assert online_utilities(ctx) == tuple(
+                    sum((inst.utilities[i][k] for k in bundles[i]), F(0)) + nxt[i]
+                    for i in range(inst.n))
 
     def test_like_needs_a_completable_sequence(self):
         # both moments can only reveal the first item, so every run aborts

@@ -18,7 +18,6 @@ from onlinefair import (
     QueryContext,
     SideMismatch,
     allocation_states_after,
-    brute_force_perfect_matchings,
     complete_bipartite,
     complete_minus_even_cycle,
     complete_minus_perfect_matching,
@@ -145,13 +144,10 @@ class TestMatchingCounts:
             g = random_graph(rng, n, n, p=rng.uniform(0.2, 0.9))
             expected = count_matchings_by_permutations(g)
             assert count_perfect_matchings(g) == expected
-            assert brute_force_perfect_matchings(g) == expected
 
     def test_rejects_unequal_sides(self):
         with pytest.raises(SideMismatch):
             count_perfect_matchings(make_graph(2, 3, []))
-        with pytest.raises(SideMismatch):
-            brute_force_perfect_matchings(make_graph(2, 3, []))
 
 
 class TestMinMaximalMatching:
