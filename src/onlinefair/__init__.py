@@ -32,6 +32,7 @@ from .core import (
 )
 from .engine import (
     InconsistentPrefix,
+    MonteCarloEstimate,
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,

@@ -333,12 +333,14 @@ def _run_oracle(args) -> dict:
 
 def _run_sample(args) -> dict:
     ctx = _context(args)
-    estimates = monte_carlo_estimate(ctx, args.samples, args.seed)
+    result = monte_carlo_estimate(ctx, args.samples, args.seed)
     return {
         "method": "monte-carlo",
         "samples": args.samples,
         "seed": args.seed,
-        "estimates": estimates,
+        "estimates": result.estimates,
+        "standard_error": result.standard_error,
+        "voided": result.voided,
     }
 
 

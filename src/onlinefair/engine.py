@@ -29,7 +29,10 @@ frontier on (arrived mask, one bundle mask per agent) to expose intermediate
 allocations, steps the same int shares over one scale, and takes its void
 mass as the complement of the surviving mass; the online queries are one
 owner-level step from the known prefix.  The Monte Carlo sampler draws
-every uncertain column once per sample.  Possibility is positivity of the
+every uncertain column once per sample by bisecting its cumulative
+probabilities and each winner from raw random bits, consuming the generator
+exactly as ``randrange`` would, and reports each agent's standard error and
+the voided runs with its means.  Possibility is positivity of the
 exact answer, and necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
@@ -44,7 +47,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -434,7 +440,17 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m
 
 
-def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[float]:
+class MonteCarloEstimate(NamedTuple):
+    """What ``monte_carlo_estimate`` returns: per-agent estimates, each
+    one's standard error of the mean, and how many runs were void."""
+
+    estimates: list[float]
+    standard_error: list[float]
+    voided: int
+
+
+def monte_carlo_estimate(ctx: QueryContext, samples: int,
+                         seed: int) -> MonteCarloEstimate:
     """Plain Monte Carlo estimate of each agent's expected utility.
 
     Samples the arrival sequence (a repeat or no-arrival draw voids the run)
@@ -442,6 +458,19 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
     estimates the same moment-(j+1) utility that ``exact_utility`` computes
     online: held value plus next-arrival win frequency.  Reproducible for a
     fixed seed.
+
+    Returns ``MonteCarloEstimate(estimates, standard_error, voided)``.  An
+    estimate's standard error is the sample standard deviation of the
+    per-run utilities (a void run scores zero) over the square root of
+    ``samples``, and 0 from a single sample; ``voided`` counts void runs.
+
+    An uncertain column is drawn by bisecting its cumulative float
+    probabilities, summed in column order, so a draw lands on the item a
+    linear scan would pick.  A winner among f > 1 feasible agents takes
+    ``f.bit_length()`` random bits, redrawn while they are at least f, which
+    is how CPython's ``Random.randrange(f)`` draws.  So the generator is
+    consumed, and the estimates summed, exactly as by a linear scan with
+    ``randrange`` (``tests/helpers.py::naive_monte_carlo``).
     """
     if samples < 1:
         raise InputError("samples must be positive")
@@ -460,9 +489,11 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
         held = [float(state.utility_of(i, instance.utilities)) for i in range(n)]
         credit = [[1.0] * instance.m for _ in range(n)]
     if not columns:  # nothing left to draw, so every run adds nothing
-        return held
+        return MonteCarloEstimate(held, [0.0] * n, 0)
     # A certain column whose item is fresh takes no draw: its item is set in
-    # ``sequence`` once, and a draw landing on it voids the run.
+    # ``sequence`` once, and a draw landing on it voids the run.  A drawn
+    # column keeps its cumulative probabilities and its items, plus -1 for
+    # the no-arrival residual past the last cumulative sum.
     fixed_mask = sum(1 << item for item in arrived)
     sequence = [-1] * len(columns)
     draws = []
@@ -471,21 +502,18 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
             fixed_mask |= column[0][1]
             sequence[moment] = column[0][0]
         else:
-            draws.append((moment, [(item, a / q) for item, _bit, a in column]))
+            draws.append((moment, list(accumulate(a / q for _item, _bit, a in column)),
+                          [item for item, _bit, _a in column] + [-1]))
     rng = random.Random(seed)
-    totals = [0.0] * n
+    draw, bits = rng.random, rng.getrandbits
+    widths = [f.bit_length() for f in range(n + 1)]
+    totals, squares, voided = [0.0] * n, [0.0] * n, 0
     for _ in range(samples):
         mask = fixed_mask
-        for moment, entries in draws:
-            draw = rng.random()
-            acc = 0.0
-            landed = -1
-            for item, p in entries:
-                acc += p
-                if draw < acc:
-                    landed = item
-                    break
+        for moment, cumulative, items in draws:
+            landed = items[bisect_right(cumulative, draw())]
             if landed < 0 or mask >> landed & 1:
+                voided += 1
                 break
             mask |= 1 << landed
             sequence[moment] = landed
@@ -494,11 +522,25 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int, seed: int) -> list[flo
             gains = [0.0] * n
             for item in sequence:
                 feas = feasible_for_counts(mechanism, counts, positive[item])
-                if not feas:
+                f = len(feas)
+                if not f:
                     continue
-                winner = feas[rng.randrange(len(feas))] if len(feas) > 1 else feas[0]
+                if f > 1:
+                    k = widths[f]
+                    r = bits(k)
+                    while r >= f:
+                        r = bits(k)
+                    winner = feas[r]
+                else:
+                    winner = feas[0]
                 counts[winner] += 1
                 gains[winner] += credit[winner][item]
-            for i in range(n):
-                totals[i] += gains[i]
-    return [held[i] + totals[i] / samples for i in range(n)]
+            totals = list(map(add, totals, gains))
+            squares = list(map(add, squares, map(mul, gains, gains)))
+    means = [total / samples for total in totals]
+    return MonteCarloEstimate(
+        list(map(add, held, means)),
+        # the sample variance, from the mean square, is over samples - 1
+        [math.sqrt(max(0.0, square / samples - mean * mean) / max(samples - 1, 1))
+         for square, mean in zip(squares, means)],
+        voided)

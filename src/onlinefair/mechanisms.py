@@ -30,11 +30,12 @@ def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
     """Feasible agents given only bundle sizes and the item's positive bidders.
 
     The uniform draw is over these agents; the engine calls this once per
-    frontier state and arriving item.  Returns a tuple sorted by agent index.
+    frontier state and arriving item.  ``positive_bidders`` must be a tuple
+    sorted by agent index: when nothing is filtered out (Like, or fewer than
+    two bidders) that very tuple is returned, and otherwise a new tuple, so
+    the result can always serve as a dict key.
     """
-    if not positive_bidders:
-        return ()
-    if mechanism is Mechanism.LIKE:
-        return tuple(positive_bidders)
-    fewest = min(counts[i] for i in positive_bidders)
-    return tuple(i for i in positive_bidders if counts[i] == fewest)
+    if mechanism is Mechanism.LIKE or len(positive_bidders) < 2:
+        return positive_bidders
+    fewest = min(map(counts.__getitem__, positive_bidders))
+    return tuple([i for i in positive_bidders if counts[i] == fewest])

@@ -10,6 +10,7 @@ these and the package is what the equivalence tests certify.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from onlinefair import (
@@ -153,6 +154,81 @@ def exact_variance(instance, mechanism, ctx_states, aborted=None):
             var += aborted * means[i] * means[i]
         variances.append(var)
     return means, variances
+
+
+def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None):
+    """The seeded Monte Carlo sampler written plainly: (estimates, voided
+    runs).  ``prefix`` is (arrived items, bundles) for the online estimate.
+
+    Each uncertain moment is drawn by a linear scan over its column's float
+    arrival probabilities, the winner with ``rng.randrange``, and each run's
+    gains are added agent by agent.  A certain moment whose item is not yet
+    fixed takes no draw.  The engine's sampler must consume the generator
+    the same way and return the same floats.
+    """
+    n, m = instance.n, instance.m
+    if isinstance(instance.arrival, FixedOrder):
+        columns = [[(k, F(1))] for k in instance.arrival.order]
+    else:
+        matrix = instance.arrival.matrix
+        columns = [[(k, matrix[k][j]) for k in range(m) if matrix[k][j] > 0]
+                   for j in range(m)]
+    if prefix is None:
+        arrived, counts0 = (), [0] * n
+        held = [0.0] * n
+        credit = [[float(u) for u in row] for row in instance.utilities]
+    else:
+        arrived, bundles = prefix
+        counts0 = [len(bundle) for bundle in bundles]
+        columns = columns[len(arrived):len(arrived) + 1]
+        held = [float(sum((instance.utilities[i][k] for k in bundle), F(0)))
+                for i, bundle in enumerate(bundles)]
+        credit = [[1.0] * m for _ in range(n)]
+    fixed = set(arrived)
+    sequence = [-1] * len(columns)
+    draws = []
+    for moment, column in enumerate(columns):
+        if len(column) == 1 and column[0][1] == 1 and column[0][0] not in fixed:
+            fixed.add(column[0][0])
+            sequence[moment] = column[0][0]
+        else:
+            draws.append((moment, [(k, float(p)) for k, p in column]))
+    rng = random.Random(seed)
+    totals = [0.0] * n
+    voided = 0
+    for _ in range(samples):
+        seen = set(fixed)
+        void = False
+        for moment, entries in draws:
+            draw = rng.random()
+            acc = 0.0
+            landed = -1
+            for item, p in entries:
+                acc += p
+                if draw < acc:
+                    landed = item
+                    break
+            if landed < 0 or landed in seen:
+                void = True
+                break
+            seen.add(landed)
+            sequence[moment] = landed
+        if void:
+            voided += 1
+            continue
+        counts = list(counts0)
+        gains = [0.0] * n
+        for item in sequence:
+            likers = [i for i in range(n) if instance.utilities[i][item] > 0]
+            feas = feasible_likers(mechanism, counts, likers)
+            if not feas:
+                continue
+            winner = feas[rng.randrange(len(feas))] if len(feas) > 1 else feas[0]
+            counts[winner] += 1
+            gains[winner] += credit[winner][item]
+        for i in range(n):
+            totals[i] += gains[i]
+    return [held[i] + totals[i] / samples for i in range(n)], voided
 
 
 # --- independent graph constructions and oracles --------------------------------

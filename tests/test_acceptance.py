@@ -279,7 +279,7 @@ def test_11_monte_carlo_within_three_standard_errors():
     rng = random.Random(2024)
     samples = 100_000
     ok = True
-    worst = 0.0
+    worst = worst_se = 0.0
     for trial in range(10):
         if trial % 2:
             inst = random_distribution_instance(
@@ -298,14 +298,23 @@ def test_11_monte_carlo_within_three_standard_errors():
         else:
             states = allocation_states_after(ctx, inst.m)
             means, variances = exact_variance(inst, mechanism, states)
-        estimates = monte_carlo_estimate(ctx, samples, seed=1000 + trial)
+        result = monte_carlo_estimate(ctx, samples, seed=1000 + trial)
         for agent in range(inst.n):
             se = math.sqrt(float(variances[agent]) / samples)
-            err = abs(estimates[agent] - float(means[agent]))
+            err = abs(result.estimates[agent] - float(means[agent]))
+            reported = result.standard_error[agent]
             if se == 0:
-                ok = ok and err == 0
+                ok = ok and err == 0 and reported == 0.0
             else:
                 worst = max(worst, err / se)
                 ok = ok and err <= 3 * se
+                # The sample standard deviation's relative error has a
+                # standard deviation of about sqrt((kurtosis - 1) / (4 N)).
+                # The utilities' kurtosis is at most 55 on these instances,
+                # so at N = 100k that is at most 1.2%, and 5% is more than
+                # four of those.
+                worst_se = max(worst_se, abs(reported / se - 1))
+                ok = ok and math.isclose(reported, se, rel_tol=0.05)
     _report(11, "100k-sample estimates stay within 3 standard errors on 10 "
-            f"instances (worst z = {worst:.2f})", ok)
+            f"instances (worst z = {worst:.2f}), and each reported standard "
+            f"error is within 5% of the exact one (worst {worst_se:.2%})", ok)

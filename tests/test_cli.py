@@ -389,6 +389,8 @@ class TestSample:
         assert a == b
         payload = json.loads(a[1])
         assert payload["estimates"] == [1.0, 1.0]
+        assert payload["standard_error"] == [0.0, 0.0]
+        assert payload["voided"] == 0
 
     def test_with_prefix(self, capsys, pair_instance, tmp_path):
         prefix = {"arrived": [1], "bundles": [[1], []]}

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onlinefair import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -38,6 +38,7 @@ from onlinefair.engine import _positive_bidders, _step
 from helpers import (
     naive_distribution_outcome,
     naive_fixed_order_outcome,
+    naive_monte_carlo,
     naive_next_moment,
     random_distribution_instance,
     random_fixed_instance,
@@ -738,12 +739,12 @@ class TestMonteCarlo:
     def test_zero_variance_is_exact(self):
         inst = Instance(2, 2, ((F(1), F(1)), (F(0), F(0))), FixedOrder((0, 1)))
         ctx = QueryContext(inst, Mechanism.LIKE)
-        assert monte_carlo_estimate(ctx, 10, seed=0) == [2.0, 0.0]
+        assert monte_carlo_estimate(ctx, 10, seed=0) == ([2.0, 0.0], [0.0, 0.0], 0)
 
     def test_close_to_exact(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
-        estimates = monte_carlo_estimate(ctx, 40_000, seed=13)
+        estimates = monte_carlo_estimate(ctx, 40_000, seed=13).estimates
         for agent in range(2):
             assert abs(estimates[agent] - 1.0) < 0.02
 
@@ -754,8 +755,9 @@ class TestMonteCarlo:
         ctx = QueryContext(inst, Mechanism.LIKE)
         exact = exact_utility(ctx, 0)
         assert exact == F(1, 2)
-        estimate = monte_carlo_estimate(ctx, 60_000, seed=3)[0]
-        assert abs(estimate - 0.5) < 0.02
+        result = monte_carlo_estimate(ctx, 60_000, seed=3)
+        assert abs(result.estimates[0] - 0.5) < 0.02
+        assert abs(result.voided / 60_000 - 0.5) < 0.02
 
     def test_full_prefix_returns_held_values(self):
         # every item has arrived, so no column is left to sample: the estimate
@@ -764,9 +766,27 @@ class TestMonteCarlo:
         state = AllocationState((frozenset({1}), frozenset({0})), F(1))
         ctx = QueryContext(inst, Mechanism.LIKE, known_prefix=((1, 0), state))
         start = time.perf_counter()
-        assert monte_carlo_estimate(ctx, 10**7, seed=1) == [1.0, 2.0]
+        assert monte_carlo_estimate(ctx, 10**7, seed=1) == ([1.0, 2.0], [0.0, 0.0], 0)
         assert time.perf_counter() - start < 1.0
         assert online_utilities(ctx) == (F(1), F(2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(fixed_instances(rational=True),
+                     distribution_instances(max_n=4, max_m=4)),
+           st.sampled_from(list(Mechanism)), st.integers(1, 40),
+           st.integers(0, 2**32), st.booleans())
+    @example(all_ones(3, 3, FixedOrder((0, 1, 2))), Mechanism.LIKE, 50, 7, False)
+    def test_matches_naive_sampler(self, inst, mechanism, samples, seed, online):
+        # same draws, same floats: distribution columns with a no-arrival
+        # residual or an item that can arrive twice, known prefixes, and ties
+        # among up to four bidders, whose winner draw redraws bits above f
+        prefix = random_prefix(random.Random(seed), inst) if online else None
+        known = prefix and (prefix[0],
+                            AllocationState(tuple(map(frozenset, prefix[1])), F(1)))
+        result = monte_carlo_estimate(QueryContext(inst, mechanism, known_prefix=known),
+                                      samples, seed)
+        assert (result.estimates, result.voided) \
+            == naive_monte_carlo(inst, mechanism, samples, seed, prefix)
 
     def test_rejects_bad_sample_count(self):
         inst = all_ones(1, 1, FixedOrder((0,)))

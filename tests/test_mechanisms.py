@@ -74,6 +74,11 @@ class TestAllocationStep:
             assert sum(successors.values()) == F(1)
             # the item goes to a positive bidder, uniformly over the feasible
             feasible = feasible_for_counts(mechanism, counts, bidders)
+            # a tuple, because the kernel keys its credits on it; unfiltered,
+            # it is the caller's own tuple
+            assert type(feasible) is tuple
+            if mechanism is Mechanism.LIKE:
+                assert feasible is bidders
             assert set(feasible) <= set(bidders)
             assert bool(feasible) == bool(bidders)
             assert sum(received) == (F(1) if feasible else F(0))
