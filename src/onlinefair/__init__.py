@@ -36,8 +36,6 @@ from .engine import (
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,
-    allocation_states_after,
-    distribution_states_after,
     epsilon_bound,
     exact_utility,
     monte_carlo_estimate,
@@ -47,6 +45,7 @@ from .engine import (
     outcome_report,
     possible_item,
     possible_utility,
+    states_after,
 )
 from .generators import (
     BadR,

@@ -214,15 +214,12 @@ def _run_outcome(args) -> dict:
         out["threshold"] = format_rational(threshold)
         out["value"] = format_rational(value)
         out["answer"] = value >= threshold
-    elif args.query == "possible":
-        if args.item is not None:
-            item = _item_index(args.item, ctx.instance.m)
-            out["item"] = args.item
-            out["answer"] = possible_item(ctx, agent, item)
-        else:
-            out["answer"] = possible_utility(ctx, agent)
+    elif args.item is not None:  # possible
+        item = _item_index(args.item, ctx.instance.m)
+        out["item"] = args.item
+        out["answer"] = possible_item(ctx, agent, item)
     else:
-        raise InputError(f"unknown query {args.query!r}")
+        out["answer"] = possible_utility(ctx, agent)
     return out
 
 
@@ -276,8 +273,6 @@ def _run_manipulate(args) -> dict:
         out["threshold"] = format_rational(query.threshold)
         out["strict"] = bool(args.strict)
         out["answer"] = gain > query.threshold if args.strict else gain >= query.threshold
-    elif args.mode != "exact":
-        raise InputError(f"unknown mode {args.mode!r}")
     return out
 
 
@@ -305,16 +300,14 @@ def _run_generate(args) -> dict:
             "threshold": format_rational(threshold),
             "subset_exists": subset_sum_bc(subset, _budget()),
         }
-    if kind == "random":
-        n, m, budget = args.agents, args.items, _budget()
-        cells = n * m + (m * m if args.arrival == "distribution" else 0)
-        if n > 0 and m > 0 and cells > budget:
-            raise BudgetExceeded(
-                f"a random instance needs {cells} cells (budget {budget})")
-        instance = random_instance(n, m, args.seed,
-                                   arrival=args.arrival, values=args.utility_kind)
-        return instance_to_json_dict(instance)
-    raise InputError(f"unknown generate kind {kind!r}")
+    n, m, budget = args.agents, args.items, _budget()  # random
+    cells = n * m + (m * m if args.arrival == "distribution" else 0)
+    if n > 0 and m > 0 and cells > budget:
+        raise BudgetExceeded(
+            f"a random instance needs {cells} cells (budget {budget})")
+    instance = random_instance(n, m, args.seed,
+                               arrival=args.arrival, values=args.utility_kind)
+    return instance_to_json_dict(instance)
 
 
 def _run_oracle(args) -> dict:
@@ -325,10 +318,8 @@ def _run_oracle(args) -> dict:
     if kind == "min-maximal":
         return {"kind": kind,
                 "answer": min_maximal_matching_size(_graph_from_args(args), _budget())}
-    if kind == "subset-sum":
-        return {"kind": kind,
-                "answer": subset_sum_bc(_subset_from_args(args), _budget())}
-    raise InputError(f"unknown oracle kind {kind!r}")
+    return {"kind": kind,  # subset-sum
+            "answer": subset_sum_bc(_subset_from_args(args), _budget())}
 
 
 def _run_sample(args) -> dict:

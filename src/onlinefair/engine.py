@@ -24,15 +24,16 @@ probability a / q split over f feasible agents is the exact int
 ``a * (L // f)``, and dividing out the gcd after every moment keeps the
 frontier in lowest terms.  Completion factors are ints over one common
 denominator, and the credits of a moment become one ``Fraction`` per (agent,
-item), so every answer is still exact.  The owner-level stepper keys the
-frontier on (arrived mask, one bundle mask per agent) to expose intermediate
-allocations, steps the same int shares over one scale, and takes its void
-mass as the complement of the surviving mass; the online queries are one
-owner-level step from the known prefix.  The Monte Carlo sampler draws
-every uncertain column once per sample by bisecting its cumulative
-probabilities and each winner from raw random bits, consuming the generator
-exactly as ``randrange`` would, and reports each agent's standard error and
-the voided runs with its means.  Possibility is positivity of the
+item), so every answer is still exact.  ``states_after``, the one
+owner-level view for every arrival model, with or without a known prefix,
+keys the frontier on (arrived mask, one bundle mask per agent) to expose
+intermediate allocations, steps the same int shares over one scale, and
+takes its void mass as the complement of the surviving mass; the online
+queries are one ``states_after`` step from the known prefix.  The Monte
+Carlo sampler draws every uncertain column once per sample by bisecting its
+cumulative probabilities and each winner from raw random bits, consuming the
+generator exactly as ``randrange`` would, and reports each agent's standard
+error and the voided runs with its means.  Possibility is positivity of the
 exact answer, and necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
@@ -58,7 +59,6 @@ from .core import (
     AllocationState,
     BidProfile,
     BudgetExceeded,
-    Distribution,
     DimensionMismatch,
     FixedOrder,
     InputError,
@@ -74,8 +74,8 @@ ZERO = Fraction(0)
 
 
 class UnsupportedQuery(InputError):
-    """The operation does not apply to this context (wrong arrival model,
-    missing or unexpected known prefix)."""
+    """The operation does not apply to this context (a missing or
+    unexpected known prefix)."""
 
 
 class InconsistentPrefix(InputError):
@@ -243,19 +243,24 @@ def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
     return OutcomeReport(tuple(utility), tuple(tuple(row) for row in alloc), "dp")
 
 
-def _owner_states(ctx: QueryContext, moments: int):
-    """Owner-level states after the next ``moments`` arrivals, from the empty
-    allocation or from the known prefix.
+def states_after(ctx: QueryContext, moments: int):
+    """The owner-level states after the next ``moments`` arrivals, under a
+    fixed ordering or a distribution, from the empty allocation or from the
+    known prefix.
+
+    Returns (list of (arrived frozenset, AllocationState), void mass),
+    sorted by arrived mask, then bundle masks.  The surviving probabilities
+    plus the void mass are exactly 1; the void gathers every no-arrival draw
+    and repeated item, so it is 0 under a fixed ordering.  From a known
+    prefix the probabilities are conditional on that prefix, whose own
+    ``probability`` is not multiplied in.
 
     The frontier maps (arrived mask, one bundle mask per agent) to an int
     over one scale, stepped with ``_step``'s shares but no completion factor;
-    Balanced Like reads each bundle size as the mask's bit count.  Returns
-    (list of (arrived frozenset, AllocationState), void mass), sorted by
-    arrived mask, then bundle masks.  The void mass, one minus the surviving
-    mass, gathers every no-arrival draw and repeated item, so it is zero for
-    a fixed ordering.  The states repeat most bundles, so one frozenset is
-    built per distinct mask: sharing them leaves far fewer live containers
-    for cyclic garbage collection to scan.
+    Balanced Like reads each bundle size as the mask's bit count.  The
+    states repeat most bundles, so one frozenset is built per distinct mask:
+    sharing them leaves far fewer live containers for cyclic garbage
+    collection to scan.
     """
     mechanism, budget = ctx.mechanism, ctx.budget
     n, m = ctx.instance.n, ctx.instance.m
@@ -302,40 +307,6 @@ def _owner_states(ctx: QueryContext, moments: int):
             for (mask, bundles), value in sorted(frontier.items())], void
 
 
-# --- fixed ordering ----------------------------------------------------------
-
-
-def allocation_states_after(ctx: QueryContext, rounds: int) -> list[AllocationState]:
-    """The merged owner-level frontier after the next ``rounds`` fixed-order
-    arrivals, for example to count the distinct positive-probability
-    allocations with a given shape.  States come back sorted by their
-    bundles' item masks, probabilities summing to 1.
-    """
-    if not isinstance(ctx.instance.arrival, FixedOrder):
-        raise UnsupportedQuery("this query needs a fixed arrival ordering")
-    return [state for _arrived, state in _owner_states(ctx, rounds)[0]]
-
-
-# --- stochastic arrivals ------------------------------------------------------
-
-
-def distribution_states_after(ctx: QueryContext, moments: int):
-    """Merged owner-level states after the first ``moments`` draws, plus
-    aborted mass.
-
-    Returns (list of (arrived frozenset, AllocationState), aborted mass),
-    sorted by the arrived items' mask, then the bundles' item masks.
-    Surviving probabilities plus the aborted mass always sum to exactly 1.
-    """
-    if ctx.known_prefix is not None:
-        raise UnsupportedQuery(
-            "distribution queries start from the empty allocation; use the "
-            "online queries for known-prefix settings")
-    if not isinstance(ctx.instance.arrival, Distribution):
-        raise UnsupportedQuery("this query needs a distribution arrival model")
-    return _owner_states(ctx, moments)
-
-
 # --- the online (known prefix) setting ---------------------------------------
 
 
@@ -346,7 +317,7 @@ def _next_moment(ctx: QueryContext):
     if ctx.known_prefix is None:
         raise UnsupportedQuery("online queries need a known prefix")
     arrived, state = ctx.known_prefix
-    return state, _owner_states(ctx, min(1, ctx.instance.m - len(arrived)))[0]
+    return state, states_after(ctx, min(1, ctx.instance.m - len(arrived)))[0]
 
 
 def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
@@ -463,6 +434,7 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     estimate's standard error is the sample standard deviation of the
     per-run utilities (a void run scores zero) over the square root of
     ``samples``, and 0 from a single sample; ``voided`` counts void runs.
+    More samples than ``ctx.budget`` raise ``BudgetExceeded`` before any draw.
 
     An uncertain column is drawn by bisecting its cumulative float
     probabilities, summed in column order, so a draw lands on the item a
@@ -490,6 +462,8 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
         credit = [[1.0] * instance.m for _ in range(n)]
     if not columns:  # nothing left to draw, so every run adds nothing
         return MonteCarloEstimate(held, [0.0] * n, 0)
+    if samples > ctx.budget:
+        raise BudgetExceeded(f"{samples} samples exceed the budget {ctx.budget}")
     # A certain column whose item is fresh takes no draw: its item is set in
     # ``sequence`` once, and a draw landing on it voids the run.  A drawn
     # column keeps its cumulative probabilities and its items, plus -1 for

@@ -14,19 +14,16 @@ from fractions import Fraction
 
 from onlinefair import (
     BidProfile,
-    Distribution,
     FixedOrder,
     Instance,
     ManipulationQuery,
     Mechanism,
     QueryContext,
-    allocation_states_after,
     best_response_search,
     complete_bipartite,
     complete_minus_even_cycle,
     complete_minus_perfect_matching,
     count_perfect_matchings,
-    distribution_states_after,
     epsilon_bound,
     even_cycle,
     exact_manipulation_gain,
@@ -42,6 +39,7 @@ from onlinefair import (
     reduction2_manip_instance,
     reduction3_instance,
     reduction3_roles,
+    states_after,
     utilities_under_deviation,
     NoPositiveBranch,
 )
@@ -106,8 +104,8 @@ def test_02_two_agent_dp_matches_enumeration():
             and [list(r) for r in report.allocation_probability] == alloc
         if trial % 10 == 0:
             for rounds in range(inst.m + 1):
-                states = allocation_states_after(ctx, rounds)
-                ok = ok and len({s.counts for s in states}) <= 2
+                states, _ = states_after(ctx, rounds)
+                ok = ok and len({s.counts for _a, s in states}) <= 2
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10
     _report(2, "two-agent Balanced Like outcomes equal the naive oracle on "
@@ -127,8 +125,8 @@ def test_03_balanced_history_count_equals_scaled_matching_count():
     for graph, side in cases:
         inst = reduction2_instance(graph)
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
-        states = allocation_states_after(ctx, 3 * side + 1)
-        balanced = sum(1 for s in states if set(s.counts) == {1})
+        states, _ = states_after(ctx, 3 * side + 1)
+        balanced = sum(1 for _a, s in states if set(s.counts) == {1})
         expected = 2 ** side * count_perfect_matchings(graph)
         details.append(f"{balanced}")
         ok = ok and balanced == expected
@@ -261,7 +259,7 @@ def test_10_epsilon_floors_every_positive_branch():
                     continue
                 ok = ok and eps > 0
                 for depth in range(inst.m):
-                    states, _ = distribution_states_after(ctx, depth)
+                    states, _ = states_after(ctx, depth)
                     for used, state in states:
                         probe = QueryContext(
                             inst, mechanism,
@@ -291,13 +289,9 @@ def test_11_monte_carlo_within_three_standard_errors():
                 rational=trial % 4 == 0)
         mechanism = Mechanism.BALANCED_LIKE if trial % 3 else Mechanism.LIKE
         ctx = QueryContext(inst, mechanism)
-        if isinstance(inst.arrival, Distribution):
-            pairs, aborted = distribution_states_after(ctx, inst.m)
-            means, variances = exact_variance(
-                inst, mechanism, [s for _, s in pairs], aborted)
-        else:
-            states = allocation_states_after(ctx, inst.m)
-            means, variances = exact_variance(inst, mechanism, states)
+        pairs, aborted = states_after(ctx, inst.m)
+        means, variances = exact_variance(
+            inst, mechanism, [s for _, s in pairs], aborted)
         result = monte_carlo_estimate(ctx, samples, seed=1000 + trial)
         for agent in range(inst.n):
             se = math.sqrt(float(variances[agent]) / samples)

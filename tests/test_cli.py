@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from onlinefair.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACE_ENTRY = SRC.parent / "perfbench" / "trace_entry.py"
 
 
 def run_cli(capsys, *argv):
@@ -401,6 +403,20 @@ class TestSample:
                        "--prefix", str(path))
         assert out["estimates"] == [1.0, 1.0]
 
+    def test_reads_budget(self, capsys, monkeypatch, pair_instance):
+        # more runs than the budget are refused before any is drawn, and
+        # exactly the budget's worth run
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", "10")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sample", pair_instance, "--mechanism",
+                                 "like", "--samples", "1000000000000", "--seed", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.rstrip().endswith("1000000000000 samples exceed the budget 10")
+        out = run_json(capsys, "sample", pair_instance, "--mechanism", "like",
+                       "--samples", "10", "--seed", "1")
+        assert out["samples"] == 10
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -687,8 +703,8 @@ COMMANDS = st.sampled_from([
     ("manipulate", "--mode", "necessary", "--agent", "1", "--deviation",
      "DEVIATION", "--threshold", "0"),
     ("manipulate", "--mode", "best-response", "--agent", "1"),
-    ("sample", "--samples", "20", "--seed", "1"),
-    ("sample", "--samples", "20", "--seed", "1", "--prefix", "PREFIX"),
+    ("sample", "--samples", "2", "--seed", "1"),
+    ("sample", "--samples", "2", "--seed", "1", "--prefix", "PREFIX"),
 ])
 
 
@@ -774,3 +790,24 @@ class TestStartup:
         cli = set(run_python("-c", calls + show).stderr.split())
         assert "onlinefair.cli" in cli
         assert not {"dataclasses", "inspect"} & (cli - bare)
+
+
+class TestTraceHarness:
+    """``perfbench/trace_entry.py`` wraps engine names that ``cli`` imports;
+    a rename there must not break traced runs."""
+
+    @pytest.mark.parametrize("extra, span", [
+        ((), "engine.outcome_report"),
+        (("--prefix", "PREFIX"), "engine.online"),
+    ])
+    def test_traced_outcome_records_its_span(self, pair_instance, tmp_path,
+                                             extra, span):
+        prefix = tmp_path / "prefix.json"
+        prefix.write_text(json.dumps({"arrived": [1], "bundles": [[1], []]}))
+        spans = tmp_path / "spans.json"
+        extra = [str(prefix) if arg == "PREFIX" else arg for arg in extra]
+        result = run_python(str(TRACE_ENTRY), str(spans), "q", "--", "outcome",
+                            pair_instance, "--query", "exact", "--mechanism",
+                            "like", "--agent", "1", *extra)
+        assert result.returncode == 0, result.stderr
+        assert span in {name for name, *_rest in json.loads(spans.read_text())["spans"]}

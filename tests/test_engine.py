@@ -15,13 +15,12 @@ from onlinefair import (
     Distribution,
     FixedOrder,
     InconsistentPrefix,
+    InputError,
     Instance,
     Mechanism,
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,
-    allocation_states_after,
-    distribution_states_after,
     epsilon_bound,
     exact_utility,
     monte_carlo_estimate,
@@ -31,6 +30,7 @@ from onlinefair import (
     outcome_report,
     possible_item,
     possible_utility,
+    states_after,
 )
 from onlinefair.arrivals import _columns, _plan, _scaled_completion
 from onlinefair.engine import _positive_bidders, _step
@@ -177,16 +177,21 @@ class TestFixedOrderEnumeration:
 
     def test_states_after_partial_round(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
-        states = allocation_states_after(
-            QueryContext(inst, Mechanism.BALANCED_LIKE), 1)
+        states = [s for _a, s in states_after(
+            QueryContext(inst, Mechanism.BALANCED_LIKE), 1)[0]]
         assert len(states) == 2
         assert sum(s.probability for s in states) == F(1)
         assert {s.counts for s in states} == {(1, 0), (0, 1)}
 
     def test_states_after_rejects_bad_rounds(self):
-        inst = all_ones(2, 2, FixedOrder((0, 1)))
-        with pytest.raises(Exception):
-            allocation_states_after(QueryContext(inst, Mechanism.LIKE), 3)
+        half = F(1, 2)
+        for arrival in (FixedOrder((0, 1)),
+                        Distribution(((half, half), (half, half)))):
+            ctx = QueryContext(all_ones(2, 2, arrival), Mechanism.LIKE)
+            for moments in (-1, 3):
+                with pytest.raises(InputError,
+                                   match=r"^moments must be within 0\.\.2$"):
+                    states_after(ctx, moments)
 
     def test_states_after_budget_exceeded(self):
         # whole bundles are kept under both mechanisms, so the first arrival
@@ -196,16 +201,16 @@ class TestFixedOrderEnumeration:
         for mechanism in Mechanism:
             with pytest.raises(BudgetExceeded,
                                match=r"3 states at moment 1 of 4 \(budget 2\)"):
-                allocation_states_after(QueryContext(inst, mechanism, budget=2), 2)
+                states_after(QueryContext(inst, mechanism, budget=2), 2)
         prefix = ((0,), AllocationState((frozenset({0}), frozenset(), frozenset()),
                                         F(1)))
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, known_prefix=prefix,
                            budget=1)
         with pytest.raises(BudgetExceeded,
                            match=r"2 states at moment 2 of 4 \(budget 1\)"):
-            allocation_states_after(ctx, 1)
-        assert len(allocation_states_after(
-            QueryContext(inst, Mechanism.BALANCED_LIKE, budget=3), 1)) == 3
+            states_after(ctx, 1)
+        assert len(states_after(
+            QueryContext(inst, Mechanism.BALANCED_LIKE, budget=3), 1)[0]) == 3
 
 
 class TestOwnerLevelViews:
@@ -214,7 +219,7 @@ class TestOwnerLevelViews:
     @staticmethod
     def priced(states, inst):
         # P(agent i holds item k): the mass of the states whose bundle i has k
-        return [[sum((s.probability for s in states if k in s.bundles[i]), F(0))
+        return [[sum((s.probability for _a, s in states if k in s.bundles[i]), F(0))
                  for k in range(inst.m)] for i in range(inst.n)]
 
     @settings(max_examples=80, deadline=None)
@@ -225,11 +230,7 @@ class TestOwnerLevelViews:
         # under fixed orders and distributions alike
         inst, bids = case
         ctx = QueryContext(inst, mechanism, BidProfile(bids))
-        if isinstance(inst.arrival, FixedOrder):
-            states = allocation_states_after(ctx, inst.m)
-        else:
-            states = [s for _arrived, s in distribution_states_after(ctx, inst.m)[0]]
-        assert self.priced(states, inst) \
+        assert self.priced(states_after(ctx, inst.m)[0], inst) \
             == [list(r) for r in outcome_report(ctx).allocation_probability]
 
     @settings(max_examples=60, deadline=None)
@@ -244,7 +245,7 @@ class TestOwnerLevelViews:
             placed = set(inst.arrival.order[:d])
             expected = [[p if k in placed else 0 for k, p in enumerate(row)]
                         for row in kernel]
-            assert self.priced(allocation_states_after(ctx, d), inst) == expected
+            assert self.priced(states_after(ctx, d)[0], inst) == expected
 
     def test_states_after_a_known_prefix_extend_it(self):
         rng = random.Random(31)
@@ -255,11 +256,61 @@ class TestOwnerLevelViews:
             ctx = QueryContext(inst, list(Mechanism)[trial % 2],
                                known_prefix=(arrived, prefix))
             for rounds in range(inst.m - len(arrived) + 1):
-                states = allocation_states_after(ctx, rounds)
-                assert sum(s.probability for s in states) == 1
-                for state in states:
+                states, _ = states_after(ctx, rounds)
+                assert sum(s.probability for _a, s in states) == 1
+                for _arrived, state in states:
                     assert all(held <= bundle for held, bundle
                                in zip(prefix.bundles, state.bundles))
+
+    @settings(max_examples=80, deadline=None)
+    @given(with_bids(distribution_instances()), st.integers(0, 2**32))
+    @example((all_ones(2, 2, Distribution(((F(1), F(0)), (F(0), F(1))))),
+              ((F(1), F(1)), (F(1), F(1)))), 7)  # prefix ((0,), [{0}, set()])
+    def test_distribution_from_a_known_prefix(self, case, seed):
+        # probabilities are conditional on the prefix, whose own probability
+        # (1/3 here) is not multiplied in; one moment on, each agent's mass
+        # of winning each fresh item is the naive next-column answer
+        inst, bids = case
+        arrived, bundles = random_prefix(random.Random(seed), inst)
+        prefix = AllocationState(tuple(map(frozenset, bundles)), F(1, 3))
+        for mechanism in Mechanism:
+            ctx = QueryContext(inst, mechanism, BidProfile(bids),
+                               known_prefix=(arrived, prefix))
+            for moments in range(inst.m - len(arrived) + 1):
+                states, void = states_after(ctx, moments)
+                assert sum((s.probability for _a, s in states), F(0)) + void == 1
+                for used, state in states:
+                    assert set(arrived) <= used
+                    assert len(used) == len(arrived) + moments
+                    assert all(held <= bundle for held, bundle
+                               in zip(prefix.bundles, state.bundles))
+            wins = {}
+            for _used, state in states_after(ctx, min(1, inst.m - len(arrived)))[0]:
+                for agent, (held, bundle) in enumerate(zip(prefix.bundles,
+                                                           state.bundles)):
+                    for item in bundle - held:
+                        wins[agent, item] = wins.get((agent, item), F(0)) \
+                            + state.probability
+            assert wins == naive_next_moment(inst, mechanism, arrived, bundles, bids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(with_bids(fixed_instances(max_m=5)), st.sampled_from(list(Mechanism)),
+           st.integers(0, 2**32), st.booleans())
+    def test_fixed_order_has_no_void(self, case, mechanism, seed, online):
+        # after d moments of a fixed order, the arrived set is its first d
+        # items in every state, and no mass is ever void
+        inst, bids = case
+        order = inst.arrival.order
+        known, start = None, 0
+        if online:
+            arrived, bundles = random_prefix(random.Random(seed), inst)
+            known = (arrived, AllocationState(tuple(map(frozenset, bundles)), F(1)))
+            start = len(arrived)
+        ctx = QueryContext(inst, mechanism, BidProfile(bids), known_prefix=known)
+        for d in range(start, inst.m + 1):
+            states, void = states_after(ctx, d - start)
+            assert void == 0
+            assert {used for used, _s in states} == {frozenset(order[:d])}
 
 
 class TestLikeClosedForm:
@@ -374,7 +425,7 @@ class TestDistribution:
     def test_probability_conservation_each_depth(self, inst):
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
         for moments in range(inst.m + 1):
-            states, aborted = distribution_states_after(ctx, moments)
+            states, aborted = states_after(ctx, moments)
             assert sum((s.probability for _, s in states), F(0)) + aborted == F(1)
 
     @settings(max_examples=40, deadline=None)
@@ -388,7 +439,7 @@ class TestDistribution:
             alive = sum((math.prod((matrix[k][j] for j, k in enumerate(seq)), start=F(1))
                          for seq in itertools.permutations(range(inst.m), moments)),
                         F(0))
-            assert distribution_states_after(ctx, moments)[1] == 1 - alive
+            assert states_after(ctx, moments)[1] == 1 - alive
 
     def test_states_after_budget_exceeded(self):
         # either item may arrive first and go to either agent: four states
@@ -396,9 +447,9 @@ class TestDistribution:
         inst = all_ones(2, 2, Distribution(((half, half), (half, half))))
         with pytest.raises(BudgetExceeded,
                            match=r"4 states at moment 1 of 2 \(budget 3\)"):
-            distribution_states_after(
+            states_after(
                 QueryContext(inst, Mechanism.BALANCED_LIKE, budget=3), 1)
-        states, aborted = distribution_states_after(
+        states, aborted = states_after(
             QueryContext(inst, Mechanism.BALANCED_LIKE, budget=4), 1)
         assert len(states) == 4 and aborted == 0
 
@@ -706,7 +757,7 @@ class TestEpsilonBound:
                         continue
                     assert eps > 0
                     for j in range(inst.m):
-                        states, _ = distribution_states_after(ctx, j)
+                        states, _ = states_after(ctx, j)
                         for used, state in states:
                             pctx = QueryContext(
                                 inst, mechanism,
@@ -725,7 +776,7 @@ class TestBalancedLikeEvenness:
             n, m = rng.randint(2, 4), rng.randint(1, 5)
             inst = all_ones(n, m, FixedOrder(tuple(range(m))))
             ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
-            for state in allocation_states_after(ctx, m):
+            for _arrived, state in states_after(ctx, m)[0]:
                 assert max(state.counts) - min(state.counts) <= 1
 
 

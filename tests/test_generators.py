@@ -17,7 +17,6 @@ from onlinefair import (
     NotThreeRegular,
     QueryContext,
     SideMismatch,
-    allocation_states_after,
     complete_bipartite,
     complete_minus_even_cycle,
     complete_minus_perfect_matching,
@@ -38,6 +37,7 @@ from onlinefair import (
     reduction3_instance,
     reduction3_roles,
     reduction_subset_instance,
+    states_after,
     subset_sum_bc,
     validate_instance,
 )
@@ -279,7 +279,7 @@ class TestReduction2:
         # states where all ten agents hold exactly one of the first ten items
         inst = reduction2_instance(full_3x3())
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
-        states = allocation_states_after(ctx, 10)
+        states = [s for _a, s in states_after(ctx, 10)[0]]
         balanced = [s for s in states if set(s.counts) == {1}]
         assert len(balanced) == 2 ** 3 * count_perfect_matchings(full_3x3())
 
