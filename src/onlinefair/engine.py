@@ -33,8 +33,12 @@ queries are one ``states_after`` step from the known prefix.  The Monte
 Carlo sampler draws every uncertain column once per sample by bisecting its
 cumulative probabilities and each winner from raw random bits, consuming the
 generator exactly as ``randrange`` would, and reports each agent's standard
-error and the voided runs with its means.  Possibility is positivity of the
-exact answer, and necessity is a threshold on it.
+error and the voided runs with its means.  It keeps a run's bundle sizes
+packed in one int and memoises each item's feasible set on the item and its
+positive bidders' sizes (``mechanisms.packed_sizes``), since every run
+revisits the same few; the memo stops growing at ``ctx.budget`` entries.
+Possibility is positivity of the exact answer, and necessity is a threshold
+on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -68,7 +72,7 @@ from .core import (
     check_allocation_state,
 )
 from .arrivals import _columns, _plan, _scaled_columns
-from .mechanisms import Mechanism, feasible_for_counts
+from .mechanisms import Mechanism, feasible_for_counts, packed_sizes
 
 ZERO = Fraction(0)
 
@@ -441,8 +445,16 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     linear scan would pick.  A winner among f > 1 feasible agents takes
     ``f.bit_length()`` random bits, redrawn while they are at least f, which
     is how CPython's ``Random.randrange(f)`` draws.  So the generator is
-    consumed, and the estimates summed, exactly as by a linear scan with
-    ``randrange`` (``tests/helpers.py::naive_monte_carlo``).
+    consumed, and the estimates and their squares summed, exactly as by a
+    linear scan with ``randrange`` (``tests/helpers.py::naive_monte_carlo``).
+
+    A run's bundle sizes are one packed int (``mechanisms.packed_sizes``).
+    An item's feasible set depends only on the item and its positive
+    bidders' sizes (only on the item under Like), so it is looked up in a
+    memo keyed on those; a miss unpacks the sizes and calls
+    ``feasible_for_counts``.  The memo takes at most ``ctx.budget`` entries,
+    and past that a miss is computed again each time, which is slower but
+    gives the same draws.
     """
     if samples < 1:
         raise InputError("samples must be positive")
@@ -481,6 +493,8 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
     widths = [f.bit_length() for f in range(n + 1)]
+    base, units, masks, tags = packed_sizes(mechanism, n, instance.m, positive)
+    start, memo = sum(map(mul, start_counts, units)), {}
     totals, squares, voided = [0.0] * n, [0.0] * n, 0
     for _ in range(samples):
         mask = fixed_mask
@@ -492,10 +506,15 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
             mask |= 1 << landed
             sequence[moment] = landed
         else:
-            counts = list(start_counts)
-            gains = [0.0] * n
+            packed, gains = start, [0.0] * n
             for item in sequence:
-                feas = feasible_for_counts(mechanism, counts, positive[item])
+                key = packed & masks[item] | tags[item]
+                feas = memo.get(key)
+                if feas is None:
+                    feas = feasible_for_counts(
+                        mechanism, [packed // unit % base for unit in units], positive[item])
+                    if len(memo) < ctx.budget:
+                        memo[key] = feas
                 f = len(feas)
                 if not f:
                     continue
@@ -507,7 +526,7 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
                     winner = feas[r]
                 else:
                     winner = feas[0]
-                counts[winner] += 1
+                packed += units[winner]
                 gains[winner] += credit[winner][item]
             totals = list(map(add, totals, gains))
             squares = list(map(add, squares, map(mul, gains, gains)))

@@ -39,3 +39,22 @@ def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
         return positive_bidders
     fewest = min(map(counts.__getitem__, positive_bidders))
     return tuple([i for i in positive_bidders if counts[i] == fewest])
+
+
+def packed_sizes(mechanism: Mechanism, n: int, m: int, positive_bidders):
+    """A layout that packs the n bundle sizes into one int, and memo keys on it.
+
+    Agent i's size takes ``m.bit_length()`` bits from ``units[i]`` up, room
+    for any size up to m: winning an item adds ``units[i]``, and the size
+    reads back as ``packed // units[i] % base``.  An item's feasible set
+    depends only on its positive bidders' sizes, and under Like on none, so
+    ``packed & masks[item] | tags[item]`` keeps just those fields and tags
+    them with the item above every field: equal keys have equal feasible
+    sets.  ``positive_bidders`` holds one bidder tuple per item.  Returns
+    ``(base, units, masks, tags)``.
+    """
+    base = 1 << m.bit_length()
+    units = [base ** i for i in range(n)]
+    masks = [0 if mechanism is Mechanism.LIKE else
+             sum(units[i] for i in bidders) * (base - 1) for bidders in positive_bidders]
+    return base, units, masks, [item * base ** n for item in range(m)]

@@ -10,6 +10,7 @@ these and the package is what the equivalence tests certify.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -156,15 +157,22 @@ def exact_variance(instance, mechanism, ctx_states, aborted=None):
     return means, variances
 
 
-def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None):
-    """The seeded Monte Carlo sampler written plainly: (estimates, voided
-    runs).  ``prefix`` is (arrived items, bundles) for the online estimate.
+def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None, keys=None):
+    """The seeded Monte Carlo sampler written plainly: (estimates, standard
+    errors, voided runs).  ``prefix`` is (arrived items, bundles) for the
+    online estimate.
 
     Each uncertain moment is drawn by a linear scan over its column's float
     arrival probabilities, the winner with ``rng.randrange``, and each run's
-    gains are added agent by agent.  A certain moment whose item is not yet
-    fixed takes no draw.  The engine's sampler must consume the generator
-    the same way and return the same floats.
+    gains and squared gains are added agent by agent.  A certain moment whose
+    item is not yet fixed takes no draw.  A standard error is the sample
+    standard deviation of the per-run utilities over sqrt(samples), with the
+    variance taken from the mean square.  The engine's sampler must consume
+    the generator the same way and return the same floats.
+
+    ``keys``, when a set, collects every placement's (item, bundle sizes of
+    the item's positive bidders), all that its Balanced Like feasible set
+    depends on.
     """
     n, m = instance.n, instance.m
     if isinstance(instance.arrival, FixedOrder):
@@ -194,7 +202,7 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None):
         else:
             draws.append((moment, [(k, float(p)) for k, p in column]))
     rng = random.Random(seed)
-    totals = [0.0] * n
+    totals, squares = [0.0] * n, [0.0] * n
     voided = 0
     for _ in range(samples):
         seen = set(fixed)
@@ -220,6 +228,8 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None):
         gains = [0.0] * n
         for item in sequence:
             likers = [i for i in range(n) if instance.utilities[i][item] > 0]
+            if keys is not None:
+                keys.add((item, tuple(counts[i] for i in likers)))
             feas = feasible_likers(mechanism, counts, likers)
             if not feas:
                 continue
@@ -228,7 +238,11 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None):
             gains[winner] += credit[winner][item]
         for i in range(n):
             totals[i] += gains[i]
-    return [held[i] + totals[i] / samples for i in range(n)], voided
+            squares[i] += gains[i] * gains[i]
+    means = [totals[i] / samples for i in range(n)]
+    errors = [math.sqrt(max(0.0, squares[i] / samples - means[i] * means[i])
+                        / max(samples - 1, 1)) for i in range(n)]
+    return [held[i] + means[i] for i in range(n)], errors, voided
 
 
 # --- independent graph constructions and oracles --------------------------------

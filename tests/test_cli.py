@@ -147,6 +147,24 @@ class TestOutcome:
         assert out["value"] == "1"
         assert out["next_item_probability"] == ["0", "1"]
 
+    @pytest.mark.parametrize("command", [
+        ("outcome", "--query", "exact", "--agent", "1"),
+        ("sample", "--samples", "200", "--seed", "4"),
+    ])
+    def test_prefix_probability_changes_no_answer(self, capsys, pair_instance,
+                                                  tmp_path, command):
+        # answers are conditional on the prefix, so its probability is
+        # validated but never multiplied in
+        outputs = []
+        for extra in ({}, {"probability": "1/2"}):
+            path = tmp_path / "prefix.json"
+            path.write_text(json.dumps({"arrived": [1], "bundles": [[1], []], **extra}))
+            code, out, err = run_cli(capsys, command[0], pair_instance, *command[1:],
+                                     "--mechanism", "like", "--prefix", str(path))
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_agent_out_of_range(self, capsys, pair_instance):
         code, _, err = run_cli(capsys, "outcome", pair_instance, "--query",
                                "exact", "--mechanism", "like", "--agent", "3")
@@ -811,3 +829,16 @@ class TestTraceHarness:
                             "like", "--agent", "1", *extra)
         assert result.returncode == 0, result.stderr
         assert span in {name for name, *_rest in json.loads(spans.read_text())["spans"]}
+
+    def test_traced_sample_counts_feasible_sets(self, pair_instance, tmp_path):
+        # the sampler computes feasible sets through the engine's module
+        # global, where the harness counts them
+        spans = tmp_path / "spans.json"
+        result = run_python(str(TRACE_ENTRY), str(spans), "q", "--", "sample",
+                            pair_instance, "--mechanism", "balanced-like",
+                            "--samples", "100", "--seed", "1")
+        assert result.returncode == 0, result.stderr
+        trace = json.loads(spans.read_text())
+        assert "engine.monte_carlo_estimate" in {name for name, *_rest in trace["spans"]}
+        assert sum(calls for name, _parent, calls, _seconds in trace["leaves"]
+                   if name == "mechanisms.feasible_for_counts") > 0

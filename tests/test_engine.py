@@ -21,6 +21,7 @@ from onlinefair import (
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,
+    complete_bipartite,
     epsilon_bound,
     exact_utility,
     monte_carlo_estimate,
@@ -30,8 +31,10 @@ from onlinefair import (
     outcome_report,
     possible_item,
     possible_utility,
+    reduction2_instance,
     states_after,
 )
+from onlinefair import engine
 from onlinefair.arrivals import _columns, _plan, _scaled_completion
 from onlinefair.engine import _positive_bidders, _step
 
@@ -45,6 +48,18 @@ from helpers import (
 )
 
 F = Fraction
+
+
+def count_feasible_calls(monkeypatch):
+    """Record every ``feasible_for_counts`` call the engine makes."""
+    calls = []
+    real = engine.feasible_for_counts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(engine, "feasible_for_counts", counted)
+    return calls
 
 
 def all_ones(n, m, arrival):
@@ -836,8 +851,44 @@ class TestMonteCarlo:
                             AllocationState(tuple(map(frozenset, prefix[1])), F(1)))
         result = monte_carlo_estimate(QueryContext(inst, mechanism, known_prefix=known),
                                       samples, seed)
-        assert (result.estimates, result.voided) \
-            == naive_monte_carlo(inst, mechanism, samples, seed, prefix)
+        assert result == naive_monte_carlo(inst, mechanism, samples, seed, prefix)
+
+    @pytest.mark.parametrize("m", [7, 8])
+    @pytest.mark.parametrize("contested", [False, True])
+    def test_packed_sizes_at_the_field_boundary(self, m, contested):
+        # sizes are packed m.bit_length() bits per agent.  The middle agent
+        # alone bids on all but the last item, so its size grows to m - 1 next
+        # to agent 2's field; then it takes the last item too, reaching m, or
+        # the two others, both empty, tie for it
+        side = (F(0),) * (m - 1) + (F(int(contested)),)
+        inst = Instance(3, m, (side, (F(1),) * m, side), FixedOrder(tuple(range(m))))
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        result = monte_carlo_estimate(ctx, 200, 3)
+        assert result == naive_monte_carlo(inst, Mechanism.BALANCED_LIKE, 200, 3)
+        assert result.estimates[1] == m - contested
+
+    def test_memo_computes_each_feasible_set_once(self, monkeypatch):
+        # every run of the K33 gadget meets the same few (item, bidder sizes)
+        # keys, so each feasible set is computed once however many runs there are
+        inst = reduction2_instance(complete_bipartite(3, 3))
+        calls, keys = count_feasible_calls(monkeypatch), set()
+        result = monte_carlo_estimate(QueryContext(inst, Mechanism.BALANCED_LIKE), 2000, 11)
+        assert result == naive_monte_carlo(inst, Mechanism.BALANCED_LIKE, 2000, 11,
+                                           keys=keys)
+        assert len(calls) == len(keys)
+        assert len(calls) * 20 < 2000 * inst.m
+
+    def test_memo_stops_growing_at_the_budget(self, monkeypatch):
+        # 50 runs of the K33 gadget meet more than 50 keys, so under a budget
+        # of 50 the memo fills up: later keys are computed again on every
+        # visit and the estimate does not change
+        inst = reduction2_instance(complete_bipartite(3, 3))
+        calls, keys = count_feasible_calls(monkeypatch), set()
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, budget=50)
+        assert monte_carlo_estimate(ctx, 50, 11) \
+            == naive_monte_carlo(inst, Mechanism.BALANCED_LIKE, 50, 11, keys=keys)
+        assert len(keys) > 50
+        assert len(calls) > len(keys)
 
     def test_rejects_bad_sample_count(self):
         inst = all_ones(1, 1, FixedOrder((0,)))
