@@ -344,13 +344,7 @@ def _add_graph_options(parser):
                         help="built-in graph instead of a file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="onlinefair",
-        description="Exact outcomes and manipulation analysis for the Like "
-                    "and Balanced Like online allocation mechanisms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_outcome(sub):
     outcome = sub.add_parser("outcome", help="exact / necessary / possible queries")
     outcome.add_argument("instance", help="instance JSON file")
     outcome.add_argument("--query", required=True,
@@ -365,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="known-prefix JSON file: {arrived, bundles, probability}")
     outcome.set_defaults(handler=_run_outcome)
 
+
+def _add_manipulate(sub):
     manipulate = sub.add_parser("manipulate", help="deviation analysis")
     manipulate.add_argument("instance")
     manipulate.add_argument("--mode", required=True,
@@ -382,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cap on items for exhaustive search")
     manipulate.set_defaults(handler=_run_manipulate)
 
+
+def _add_generate(sub):
     generate = sub.add_parser("generate", help="emit gadget or random instances")
     generate.add_argument("--kind", required=True,
                           choices=["reduction1", "reduction2", "reduction2-manip",
@@ -402,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="binary")
     generate.set_defaults(handler=_run_generate)
 
+
+def _add_oracle(sub):
     oracle = sub.add_parser("oracle", help="brute-force graph and subset answers")
     oracle.add_argument("--kind", required=True,
                         choices=["count-pm", "min-maximal", "subset-sum"])
@@ -411,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("-c", "--cardinality", type=int)
     oracle.set_defaults(handler=_run_oracle)
 
+
+def _add_sample(sub):
     sample = sub.add_parser("sample", help="Monte Carlo utility estimates")
     sample.add_argument("instance")
     sample.add_argument("--mechanism", required=True)
@@ -419,11 +421,34 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--prefix", help="known-prefix JSON file")
     sample.set_defaults(handler=_run_sample)
 
+
+_SUBCOMMANDS = {"outcome": _add_outcome, "manipulate": _add_manipulate,
+               "generate": _add_generate, "oracle": _add_oracle, "sample": _add_sample}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that subcommand's parser is built: the first argument picks it, and
+    argparse never reads the others.  The listed choices stay all five, so
+    every message prints as from the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="onlinefair",
+        description="Exact outcomes and manipulation analysis for the Like "
+                    "and Balanced Like online allocation mechanisms.")
+    if command not in _SUBCOMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
+        return parser
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    _SUBCOMMANDS[command](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         payload = args.handler(args)
     except InputError as exc:

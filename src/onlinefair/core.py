@@ -130,12 +130,6 @@ class Distribution(NamedTuple):
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.matrix)
-
-    def column_mass(self, j: int) -> Fraction:
-        return sum((row[j] for row in self.matrix), Fraction(0))
-
 
 ArrivalModel = Union[FixedOrder, Distribution]
 
@@ -151,9 +145,6 @@ class Instance(NamedTuple):
     m: int
     utilities: tuple[tuple[Fraction, ...], ...]
     arrival: ArrivalModel
-
-    def likes(self, agent: int, item: int) -> bool:
-        return self.utilities[agent][item] > 0
 
 
 class BidProfile(NamedTuple):
@@ -173,9 +164,6 @@ class BidProfile(NamedTuple):
         rows[agent] = new_row
         return BidProfile(tuple(rows))
 
-    def positive(self, agent: int, item: int) -> bool:
-        return self.bids[agent][item] > 0
-
 
 class AllocationState(NamedTuple):
     """A partial allocation: one bundle per agent, plus the probability with
@@ -187,10 +175,6 @@ class AllocationState(NamedTuple):
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(map(len, self.bundles))
-
-    @classmethod
-    def initial(cls, n: int) -> "AllocationState":
-        return cls(tuple(frozenset() for _ in range(n)), Fraction(1))
 
     def utility_of(self, agent: int, utilities) -> Fraction:
         return sum((utilities[agent][k] for k in self.bundles[agent]), Fraction(0))

@@ -14,15 +14,19 @@ distribution a column of arrival probabilities a / q over the column's lcm
 denominator q.  Three loops step over these columns.  The count-state kernel
 behind ``outcome_report`` gives every exact outcome: Balanced Like gives an
 item to the positive bidders holding the fewest items, so its frontier maps
-(arrived-item bitmask, bundle-size vector) to reach probability, Like drops
-the sizes (one state per moment under a fixed ordering), and each item's
-allocation probability is added while it is placed; ``_step`` moves that
-frontier one moment, for the kernel and for the best-response search.  Its
-values are Python ints over one per-frontier scale: a moment multiplies the
-scale by its column's lcm denominator q times L = lcm(1..n), so an arrival
-probability a / q split over f feasible agents is the exact int
-``a * (L // f)``, and dividing out the gcd after every moment keeps the
-frontier in lowest terms.  Completion factors are ints over one common
+(arrived-item bitmask, bundle sizes packed in one int) to reach probability,
+Like keeps no sizes (one state per moment under a fixed ordering), and each
+item's allocation probability is added while it is placed; ``_step`` moves
+that frontier one moment, for the kernel and for the best-response search.
+An item's feasible set depends only on the item and its positive bidders'
+sizes, so ``_step`` looks it up in a memo keyed on those
+(``mechanisms.packed_sizes``) that lives for a whole kernel run or search;
+the memo stops growing at the budget.  The frontier's values are Python
+ints over one per-frontier scale: a moment multiplies the scale by its
+column's lcm denominator q times L = lcm(1..n), so an arrival probability
+a / q split over f feasible agents is the exact int ``a * (L // f)``, and
+dividing out the gcd after every moment keeps the frontier in lowest
+terms.  Completion factors are ints over one common
 denominator, and the credits of a moment become one ``Fraction`` per (agent,
 item), so every answer is still exact.  ``states_after``, the one
 owner-level view for every arrival model, with or without a known prefix,
@@ -34,9 +38,8 @@ Carlo sampler draws every uncertain column once per sample by bisecting its
 cumulative probabilities and each winner from raw random bits, consuming the
 generator exactly as ``randrange`` would, and reports each agent's standard
 error and the voided runs with its means.  It keeps a run's bundle sizes
-packed in one int and memoises each item's feasible set on the item and its
-positive bidders' sizes (``mechanisms.packed_sizes``), since every run
-revisits the same few; the memo stops growing at ``ctx.budget`` entries.
+packed in one int and memoises feasible sets on the same keys, since every
+run revisits the same few.
 Possibility is positivity of the exact answer, and necessity is a threshold
 on it.
 
@@ -107,23 +110,19 @@ class QueryContext(NamedTuple):
     budget: int = DEFAULT_ENUMERATION_BUDGET
 
 
-def _bid_rows(ctx: QueryContext) -> tuple[tuple[Fraction, ...], ...]:
-    if ctx.bids is None:
-        return ctx.instance.utilities
-    rows = ctx.bids.bids
+def _positive_bidders(ctx: QueryContext):
+    """Each item's positive bidders, after checking the bids (sincere by
+    default) against the instance."""
+    rows = ctx.instance.utilities if ctx.bids is None else ctx.bids.bids
     if len(rows) != ctx.instance.n or any(len(r) != ctx.instance.m for r in rows):
         raise DimensionMismatch("bid profile does not match the instance")
     for row in rows:
         for entry in row:
             if entry < 0:
                 raise NegativeValue(f"negative bid {entry}")
-    return rows
-
-
-def _positive_bidders(bid_rows):
-    # bids are checked non-negative, so positive means nonzero
+    # bids are non-negative, so positive means nonzero
     return tuple(tuple(i for i, bid in enumerate(column) if bid)
-                 for column in zip(*bid_rows))
+                 for column in zip(*rows))
 
 
 def _checked_prefix(ctx: QueryContext):
@@ -160,29 +159,40 @@ def _lowest_terms(frontier, scale: int) -> int:
     return scale
 
 
-def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
-          budget: int):
+def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
+          mechanism, budget: int):
     """Advance a count-state frontier over one moment.
 
-    The frontier maps (arrived mask, bundle sizes or ``()`` under Like) to
-    an int: the probability of reaching that state without a void is
-    ``value / scale``.  ``plan`` comes from ``_plan``.  Returns (successors,
-    their scale, credits, unit): placing item k on agent i adds the branch
-    probability times the completion factor of the new mask, summed over the
-    moment as the int ``credits[i, k]``, to i's probability of receiving k as
-    ``credits[i, k] / unit``.  Before returning, the successors and their
-    scale are divided in place by their gcd, so the frontier stays in lowest
-    terms and its ints stay small on deep instances.
+    The frontier maps (arrived mask, packed bundle sizes) to an int: the
+    probability of reaching that state without a void is ``value / scale``.
+    ``plan`` comes from ``_plan``, and ``layout`` from ``packed_sizes`` over
+    ``positive``, the bidders of each item (or of each entry the layout
+    keys).  A win adds the winner's unit to the packed sizes.  ``memo``
+    maps the layout's key to the feasible set and the distinct units its
+    agents add: one per agent under Balanced Like, and the single 0 under
+    Like, whose units are all 0, or when nobody may take the item.  So such
+    a placement has one successor, which takes the whole branch.  A miss
+    unpacks the sizes and calls ``feasible_for_counts``, and the memo keeps
+    at most ``budget`` answers, so past that a miss is only slower.  The
+    caller keeps one memo for a whole kernel run or search.
+
+    Returns (successors, their scale, credits, unit): placing item k on
+    agent i adds the branch probability times the completion factor of the
+    new mask, summed over the moment as the int ``credits[i, k]``, to i's
+    probability of receiving k as ``credits[i, k] / unit``.  Before
+    returning, the successors and their scale are divided in place by their
+    gcd, so the frontier stays in lowest terms and its ints stay small on
+    deep instances.
     """
     columns, completion, unit = plan
     grow, entries = columns[moment]
-    sized = mechanism is Mechanism.BALANCED_LIKE
+    base, units, masks, tags = layout
     successors: dict = {}
     credits: dict = {}
     for item, bit, shares in entries:
-        bidders = positive[item]
+        field, tag = masks[item], tags[item]
         gained: dict = {}  # credit per feasible set
-        for (mask, counts), weight in frontier.items():
+        for (mask, packed), weight in frontier.items():
             if mask & bit:
                 continue
             mask2 = mask | bit
@@ -192,17 +202,20 @@ def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
                 tail = completion[mask2]
                 if not tail:
                     continue
-            feas = feasible_for_counts(mechanism, counts, bidders)
-            if feas:
-                share = weight * shares[len(feas)]
-                gained[feas] = gained.get(feas, 0) + share * tail
-            if not (sized and feas):  # the sizes stay as they are
-                key = (mask2, counts)
-                successors[key] = successors.get(key, 0) + weight * shares[0]
-                continue
-            for agent in feas:
-                key = (mask2, counts[:agent] + (counts[agent] + 1,)
-                       + counts[agent + 1:])
+            key = packed & field | tag
+            hit = memo.get(key)
+            if hit is None:
+                feas = feasible_for_counts(
+                    mechanism, [packed // u % base for u in units if u], positive[item])
+                # the distinct size increments; one, 0, under Like or if nobody wins
+                hit = feas, tuple({units[agent] for agent in feas}) or (0,)
+                if len(memo) < budget:
+                    memo[key] = hit
+            feas, moves = hit
+            gained[feas] = gained.get(feas, 0) + weight * shares[len(feas)] * tail
+            share = weight * shares[len(moves)]
+            for move in moves:
+                key = (mask2, packed + move)
                 successors[key] = successors.get(key, 0) + share
         for feas, credit in gained.items():
             for agent in feas:
@@ -219,17 +232,17 @@ def _step(frontier, scale: int, moment: int, plan, positive, mechanism,
 
 def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
     """Exact outcome by the count-state kernel from the empty allocation:
-    one ``_step`` per moment."""
+    one ``_step`` per moment, sharing one feasibility memo."""
     instance, mechanism = ctx.instance, ctx.mechanism
     n, m = instance.n, instance.m
-    positive = _positive_bidders(_bid_rows(ctx))
+    positive = _positive_bidders(ctx)
     plan = _plan(instance.arrival, n, ctx.budget)
+    layout = packed_sizes(mechanism, n, m, positive)
     alloc = [[ZERO] * m for _ in range(n)]
-    sizes = (0,) * n if mechanism is Mechanism.BALANCED_LIKE else ()
-    frontier, scale = {(0, sizes): 1}, 1
+    frontier, scale, memo = {(0, 0): 1}, 1, {}
     for moment in range(m):
-        frontier, scale, credits, unit = _step(
-            frontier, scale, moment, plan, positive, mechanism, ctx.budget)
+        frontier, scale, credits, unit = _step(frontier, scale, moment, plan, positive,
+                                               layout, memo, mechanism, ctx.budget)
         for (agent, item), credit in credits.items():
             credit = Fraction(credit, unit)
             held = alloc[agent][item]
@@ -276,7 +289,7 @@ def states_after(ctx: QueryContext, moments: int):
     remaining = m - len(arrived)
     if not 0 <= moments <= remaining:
         raise InputError(f"moments must be within 0..{remaining}")
-    positive = _positive_bidders(_bid_rows(ctx))
+    positive = _positive_bidders(ctx)
     columns = _scaled_columns(_columns(ctx.instance.arrival), n)
     frontier, scale = {(sum(1 << k for k in arrived), start): 1}, 1
     for moment in range(len(arrived), len(arrived) + moments):
@@ -406,7 +419,7 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     of each moment's smallest positive arrival entry times (1/n)^m bounds
     every positive branch from below.  A conservative bound, never zero.
     """
-    if not any(agent in bidders for bidders in _positive_bidders(_bid_rows(ctx))):
+    if not any(agent in bidders for bidders in _positive_bidders(ctx)):
         raise NoPositiveBranch(f"agent {agent} bids positively on nothing")
     floors = [Fraction(min(a for _item, _bit, a in column), q)
               for q, column in _columns(ctx.instance.arrival) if column]
@@ -460,7 +473,7 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
         raise InputError("samples must be positive")
     instance, mechanism = ctx.instance, ctx.mechanism
     n = instance.n
-    positive = _positive_bidders(_bid_rows(ctx))
+    positive = _positive_bidders(ctx)
     columns = _columns(instance.arrival)
     if ctx.known_prefix is None:
         arrived, start_counts = (), (0,) * n
@@ -512,20 +525,20 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
                 feas = memo.get(key)
                 if feas is None:
                     feas = feasible_for_counts(
-                        mechanism, [packed // unit % base for unit in units], positive[item])
+                        mechanism, [packed // unit % base for unit in units if unit],
+                        positive[item])
                     if len(memo) < ctx.budget:
                         memo[key] = feas
                 f = len(feas)
                 if not f:
                     continue
+                r = 0
                 if f > 1:
                     k = widths[f]
                     r = bits(k)
                     while r >= f:
                         r = bits(k)
-                    winner = feas[r]
-                else:
-                    winner = feas[0]
+                winner = feas[r]
                 packed += units[winner]
                 gains[winner] += credit[winner][item]
             totals = list(map(add, totals, gains))

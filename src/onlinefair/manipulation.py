@@ -18,7 +18,7 @@ from .core import (DEFAULT_ENUMERATION_BUDGET, BidProfile, BudgetExceeded,
                    InputError, Instance, parse_rational)
 from .arrivals import _plan
 from .engine import QueryContext, _positive_bidders, _step, exact_utility
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, packed_sizes
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -102,7 +102,9 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     order the arrival columns first need their items.  A node steps each
     moment whose items are all decided, so rows agreeing on those bits share
     its frontier (nothing is shared when the first column has full support),
-    and the agent's true utility adds up along the path.
+    and the agent's true utility adds up along the path.  All nodes share
+    one feasibility memo of at most ``budget`` entries, keyed on the item,
+    the agent's bit on it and its bidders' packed sizes.
     """
     n, m = instance.n, instance.m
     if max_items < 1:
@@ -120,10 +122,16 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     for moment, (_grow, entries) in enumerate(plan[0]):
         need = max([need] + [rank[item] for item, _bit, _shares in entries])
         steps[need].append(moment)
-    # each item's positive bidders when the agent bids 0 / 1 on it
-    choices = [(tuple(i for i in b if i != agent), tuple(sorted({*b, agent})))
-               for b in _positive_bidders(instance.utilities)]
-    positive = [None] * m  # filled in as the bits are decided
+    # each item's positive bidders when the agent bids 0 on it, then when it
+    # bids 1: item k's bid-1 variant is the layout's entry k + m, so the two
+    # never share a feasibility memo key
+    sincere = _positive_bidders(QueryContext(instance, mechanism))
+    variants = ([tuple(i for i in b if i != agent) for b in sincere]
+                + [tuple(sorted({*b, agent})) for b in sincere])
+    base, units, variant_masks, variant_tags = packed_sizes(mechanism, n, m, variants)
+    # each item's entry, filled in as the bits are decided
+    positive, masks, tags = [None] * m, [0] * m, [0] * m
+    layout, memo = (base, units, masks, tags), {}
     weight = [1 << (m - 1 - k) for k in range(m)]
     true_row = instance.utilities[agent]
     sincere_bits = sum(weight[k] for k in range(m) if true_row[k])
@@ -131,18 +139,19 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     # with one Fraction
     row_unit = math.lcm(*(u.denominator for u in true_row))
     int_row = [u.numerator * (row_unit // u.denominator) for u in true_row]
-    sizes = (0,) * n if mechanism is Mechanism.BALANCED_LIKE else ()
     # (depth, row bits, frontier, its scale, value)
-    stack = [(0, 0, {(0, sizes): 1}, 1, ZERO)]
+    stack = [(0, 0, {(0, 0): 1}, 1, ZERO)]
     best = (-ONE, 0)  # (value, -row bits): the max is the smallest best row
     while stack:
         depth, bits, frontier, scale, value = stack.pop()
         if depth:
             item = order[depth - 1]
-            positive[item] = choices[item][bool(bits & weight[item])]
+            entry = item + m if bits & weight[item] else item
+            positive[item], masks[item] = variants[entry], variant_masks[entry]
+            tags[item] = variant_tags[entry]
         for moment in steps[depth]:
-            frontier, scale, credits, unit = _step(
-                frontier, scale, moment, plan, positive, mechanism, budget)
+            frontier, scale, credits, unit = _step(frontier, scale, moment, plan, positive,
+                                                   layout, memo, mechanism, budget)
             gained = sum(credit * int_row[item]
                          for (i, item), credit in credits.items() if i == agent)
             if gained:

@@ -29,8 +29,9 @@ class Mechanism(Enum):
 def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
     """Feasible agents given only bundle sizes and the item's positive bidders.
 
-    The uniform draw is over these agents; the engine calls this once per
-    frontier state and arriving item.  ``positive_bidders`` must be a tuple
+    The uniform draw is over these agents.  The engine calls this on a miss
+    of a memo keyed as in ``packed_sizes``, and under Like, which reads no
+    size, it passes no sizes.  ``positive_bidders`` must be a tuple
     sorted by agent index: when nothing is filtered out (Like, or fewer than
     two bidders) that very tuple is returned, and otherwise a new tuple, so
     the result can always serve as a dict key.
@@ -44,17 +45,20 @@ def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
 def packed_sizes(mechanism: Mechanism, n: int, m: int, positive_bidders):
     """A layout that packs the n bundle sizes into one int, and memo keys on it.
 
-    Agent i's size takes ``m.bit_length()`` bits from ``units[i]`` up, room
-    for any size up to m: winning an item adds ``units[i]``, and the size
-    reads back as ``packed // units[i] % base``.  An item's feasible set
-    depends only on its positive bidders' sizes, and under Like on none, so
-    ``packed & masks[item] | tags[item]`` keeps just those fields and tags
-    them with the item above every field: equal keys have equal feasible
-    sets.  ``positive_bidders`` holds one bidder tuple per item.  Returns
-    ``(base, units, masks, tags)``.
+    Under Balanced Like agent i's size takes ``m.bit_length()`` bits from
+    ``units[i]`` up, room for any size up to m: winning an item adds
+    ``units[i]``, and the size reads back as ``packed // units[i] % base``.
+    Like keeps no sizes, so its units are 0 and the packed value stays 0.
+    An item's feasible set depends only on its positive bidders' sizes, and
+    under Like on none, so ``packed & masks[entry] | tags[entry]`` keeps
+    just those fields and tags them with the entry's index above every
+    field: equal keys have equal feasible sets.  ``positive_bidders`` holds
+    one bidder tuple per entry: one per item, or more when an item has
+    several bidder sets (best-response search gives item k's bid-1 variant
+    the entry k + m).  Returns ``(base, units, masks, tags)``.
     """
     base = 1 << m.bit_length()
-    units = [base ** i for i in range(n)]
-    masks = [0 if mechanism is Mechanism.LIKE else
-             sum(units[i] for i in bidders) * (base - 1) for bidders in positive_bidders]
-    return base, units, masks, [item * base ** n for item in range(m)]
+    sized = mechanism is Mechanism.BALANCED_LIKE
+    units = [base ** i * sized for i in range(n)]
+    masks = [sum(units[i] for i in bidders) * (base - 1) for bidders in positive_bidders]
+    return base, units, masks, [entry * base ** n for entry in range(len(masks))]

@@ -35,9 +35,12 @@ def feasible_likers(mechanism, counts, likers):
     return [i for i in likers if counts[i] == lowest]
 
 
-def naive_fixed_order_outcome(instance, mechanism, bids=None):
+def naive_fixed_order_outcome(instance, mechanism, bids=None, keys=None):
     """Expected utilities and allocation probabilities by plain recursion
-    over the full allocation tree, one leaf at a time, no merging."""
+    over the full allocation tree, one leaf at a time, no merging.
+
+    ``keys``, when a set, collects every node's (item, bundle sizes of the
+    item's positive bidders): the distinct keys a feasibility memo needs."""
     n, m = instance.n, instance.m
     rows = instance.utilities if bids is None else bids
     alloc = [[F(0)] * m for _ in range(n)]
@@ -50,6 +53,8 @@ def naive_fixed_order_outcome(instance, mechanism, bids=None):
             return
         item = instance.arrival.order[idx]
         likers = [i for i in range(n) if rows[i][item] > 0]
+        if keys is not None:
+            keys.add((item, tuple(counts[i] for i in likers)))
         chosen = feasible_likers(mechanism, counts, likers)
         if not chosen:
             walk(idx + 1, counts, owners, prob)

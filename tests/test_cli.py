@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from onlinefair.cli import main
+from onlinefair import cli
+from onlinefair.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TRACE_ENTRY = SRC.parent / "perfbench" / "trace_entry.py"
@@ -507,6 +508,64 @@ PAIR = {
     "utilities": [["1", "1"], ["1", "1"]],
     "arrival": {"type": "order", "order": [1, 2]},
 }
+
+
+class TestParser:
+    """``main`` builds only the subcommand that its first argument names,
+    and every help text and argparse error reads as from the full parser."""
+
+    COMMANDS = ["outcome", "manipulate", "generate", "oracle", "sample"]
+    ARGVS = [
+        [], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["-h", "outcome"],
+        *[[command] for command in COMMANDS],
+        *[[command, "--help"] for command in COMMANDS],
+        *[[command, "-h", "--bogus"] for command in COMMANDS],
+        *[[command, "extra", "extra", "--bogus", "1"] for command in COMMANDS],
+        ["outcome", "x.json"],
+        ["outcome", "x.json", "--query", "maybe", "--mechanism", "like", "--agent", "1"],
+        ["outcome", "x.json", "--query", "exact", "--mechanism", "like", "--agent", "one"],
+        ["outcome", "x.json", "--query", "exact", "--mechanism", "like", "--agent", "1",
+         "--bogus"],
+        ["outcome", "x.json", "--query", "exact", "--mechanism", "like", "--agent", "1",
+         "surplus"],
+        ["outcome", "x.json", "--que", "exact", "--mechanism", "like", "--agent"],
+        ["manipulate", "x.json", "--mode", "exact", "--max-items", "many"],
+        ["manipulate", "x.json", "--mode", "best"],
+        ["generate", "--kind", "nope"],
+        ["generate", "--kind", "random", "-n"],
+        ["generate", "--graph-name", "k99", "--kind", "reduction2"],
+        ["oracle", "--kind", "subset-sum", "-b", "x"],
+        ["sample", "x.json", "--mechanism", "like", "--samples", "1", "--seed"],
+        ["sample", "x.json", "--mechanism", "like", "--samples", "1", "--seed", "1",
+         "outcome"],
+    ]
+
+    @staticmethod
+    def parse(capsys, parse, argv):
+        with pytest.raises(SystemExit) as stop:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return stop.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_text_and_exit_as_the_full_parser(self, capsys, argv):
+        full = self.parse(capsys, build_parser().parse_args, argv)
+        assert full[0] in (0, 2) and full[1] + full[2]
+        assert self.parse(capsys, main, argv) == full
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_builds_only_the_named_subcommand(self, capsys, monkeypatch, command):
+        def built(parser):
+            return list(parser._subparsers._group_actions[0].choices)
+        assert built(build_parser(command)) == [command]
+        assert built(build_parser()) == self.COMMANDS
+        assert built(build_parser("bogus")) == self.COMMANDS
+        asked = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: asked.append(command) or build_parser(command))
+        self.parse(capsys, main, [command, "--help"])
+        self.parse(capsys, main, ["--help"])
+        assert asked == [command, "--help"]
 
 
 class TestStrictInputTypes:

@@ -21,6 +21,7 @@ from onlinefair import (
     NoPositiveBranch,
     QueryContext,
     UnsupportedQuery,
+    best_response_search,
     complete_bipartite,
     epsilon_bound,
     exact_utility,
@@ -37,8 +38,10 @@ from onlinefair import (
 from onlinefair import engine
 from onlinefair.arrivals import _columns, _plan, _scaled_completion
 from onlinefair.engine import _positive_bidders, _step
+from onlinefair.mechanisms import packed_sizes
 
 from helpers import (
+    naive_best_response,
     naive_distribution_outcome,
     naive_fixed_order_outcome,
     naive_monte_carlo,
@@ -483,12 +486,12 @@ class TestScaledFrontier:
     @staticmethod
     def frontiers(inst, mechanism):
         plan = _plan(inst.arrival, inst.n, DEFAULT_ENUMERATION_BUDGET)
-        positive = _positive_bidders(inst.utilities)
-        sizes = (0,) * inst.n if mechanism is Mechanism.BALANCED_LIKE else ()
-        frontier, scale = {(0, sizes): 1}, 1
+        positive = _positive_bidders(QueryContext(inst, mechanism))
+        layout = packed_sizes(mechanism, inst.n, inst.m, positive)
+        frontier, scale, memo = {(0, 0): 1}, 1, {}
         for moment in range(inst.m):
             frontier, scale, _credits, _unit = _step(
-                frontier, scale, moment, plan, positive, mechanism,
+                frontier, scale, moment, plan, positive, layout, memo, mechanism,
                 DEFAULT_ENUMERATION_BUDGET)
             yield frontier, scale
 
@@ -509,6 +512,110 @@ class TestScaledFrontier:
             assert scale == 1 and list(frontier.values()) == [1]
             steps += 1
         assert steps == m
+
+
+@st.composite
+def boundary_instances(draw):
+    """n = 3 or 4 agents, m = 7 or 8 items (the widths where a packed size
+    field just holds m) with rational utilities and random 0/1 bids."""
+    n, m = draw(st.integers(3, 4)), draw(st.sampled_from([7, 8]))
+    entry = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    bids = draw(st.lists(st.lists(st.sampled_from([F(0), F(1)]), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    order = draw(st.permutations(range(m)))
+    return (Instance(n, m, tuple(map(tuple, rows)), FixedOrder(tuple(order))),
+            tuple(map(tuple, bids)))
+
+
+def boundary_example(m, contested):
+    # the middle agent alone bids on all but the last item, so its size grows
+    # to m - 1 next to agent 2's field; then it takes the last item too,
+    # reaching m, or the two others, both empty, tie for it
+    side = (F(0),) * (m - 1) + (F(int(contested)),)
+    inst = Instance(3, m, ((F(1),) * m,) * 3, FixedOrder(tuple(range(m))))
+    return inst, (side, (F(1),) * m, side)
+
+
+class TestKernelMemo:
+    """The kernel packs bundle sizes into one int and memoises each feasible
+    set on the item and its bidders' sizes, for a whole run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_instances(), st.sampled_from(list(Mechanism)))
+    @example(boundary_example(7, False), Mechanism.BALANCED_LIKE)
+    @example(boundary_example(7, True), Mechanism.BALANCED_LIKE)
+    @example(boundary_example(8, False), Mechanism.BALANCED_LIKE)
+    @example(boundary_example(8, True), Mechanism.BALANCED_LIKE)
+    def test_matches_naive_at_the_field_boundary(self, case, mechanism):
+        inst, bids = case
+        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        utility, alloc = naive_fixed_order_outcome(inst, mechanism, bids)
+        assert report.expected_utility == tuple(utility)
+        assert report.allocation_probability == tuple(map(tuple, alloc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(with_bids(distribution_instances(max_n=4, max_m=4)),
+           st.sampled_from(list(Mechanism)))
+    def test_matches_naive_distributions(self, case, mechanism):
+        inst, bids = case
+        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        utility, alloc = naive_distribution_outcome(inst, mechanism, bids)
+        assert report.expected_utility == tuple(utility)
+        assert report.allocation_probability == tuple(map(tuple, alloc))
+
+    def test_computes_each_feasible_set_once(self, monkeypatch):
+        # the K33 gadget's kernel meets far more (state, item) pairs than
+        # distinct (item, bidder sizes) keys, and computes each key once
+        inst = reduction2_instance(complete_bipartite(3, 3))
+        calls, keys = count_feasible_calls(monkeypatch), set()
+        report = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
+        utility, _alloc = naive_fixed_order_outcome(inst, Mechanism.BALANCED_LIKE, keys=keys)
+        assert report.expected_utility == tuple(utility)
+        assert len(calls) == len(keys) == 194
+        # under a fixed order every state meets one item per moment
+        frontiers = list(TestScaledFrontier.frontiers(inst, Mechanism.BALANCED_LIKE))
+        visits = 1 + sum(len(frontier) for frontier, _scale in frontiers[:-1])
+        assert len(keys) * 3 < visits
+
+    def test_memo_stops_growing_at_the_budget(self, monkeypatch):
+        # three agents who like all of five uniformly arriving items: the
+        # frontier peaks at 30 states and the arrival masks at 10 per level,
+        # but the kernel meets 55 (item, sizes) keys.  Under a budget of 32
+        # the memo fills up, later keys are computed on every visit, and the
+        # answer does not change
+        uniform = tuple((F(1, 5),) * 5 for _ in range(5))
+        inst = all_ones(3, 5, Distribution(uniform))
+        calls = count_feasible_calls(monkeypatch)
+        full = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
+        assert len(calls) == 55
+        calls.clear()
+        capped = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE, budget=32))
+        assert capped == full
+        assert len(calls) > 55
+        utility, alloc = naive_distribution_outcome(inst, Mechanism.BALANCED_LIKE)
+        assert full.expected_utility == tuple(utility)
+        with pytest.raises(BudgetExceeded):  # 32 is just above the peak
+            outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE, budget=29))
+
+    @pytest.mark.parametrize("mechanism", list(Mechanism))
+    def test_search_memo_keeps_the_bid_variants_apart(self, monkeypatch, mechanism):
+        # every item has its own set of other bidders, so a call's bidders name
+        # the item and agent 0's bit on it: over the whole search each key is
+        # computed once, and the two bits never share a feasible set
+        others = [(1,), (2, 3), (1, 4), (), (2, 3, 4), (1, 2, 3, 4)]
+        rows = [tuple(F(k % 3) for k in range(6))] + [
+            tuple(F(int(i in bidders)) for bidders in others) for i in range(1, 5)]
+        inst = Instance(5, 6, tuple(rows), FixedOrder((2, 0, 5, 1, 4, 3)))
+        calls = count_feasible_calls(monkeypatch)
+        assert best_response_search(inst, mechanism, 0) \
+            == naive_best_response(inst, mechanism, 0)
+        # under Like no sizes are kept, so the counts are empty
+        keys = {(bidders, tuple(counts[i] for i in bidders if counts))
+                for _m, counts, bidders in calls}
+        assert len(calls) == len(keys)
+        assert {bidders for bidders, _sizes in keys} \
+            == set(others) | {(0, *bidders) for bidders in others}
 
 
 class TestDispatcher:
@@ -610,7 +717,7 @@ class TestOnlineQueries:
         with pytest.raises(InconsistentPrefix):
             next_item_probability(QueryContext(
                 inst, Mechanism.LIKE,
-                known_prefix=((0, 0), AllocationState.initial(2))))
+                known_prefix=((0, 0), AllocationState((frozenset(),) * 2, F(1)))))
 
     def test_online_queries_honour_the_budget(self):
         # under Like all three agents may win item 2: three successors
@@ -634,7 +741,7 @@ class TestOnlineQueries:
     def test_outcome_report_rejects_prefix(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
         ctx = QueryContext(inst, Mechanism.LIKE,
-                           known_prefix=((0,), AllocationState.initial(2)))
+                           known_prefix=((0,), AllocationState((frozenset(),) * 2, F(1))))
         with pytest.raises(UnsupportedQuery):
             outcome_report(ctx)
 

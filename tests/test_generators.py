@@ -211,7 +211,7 @@ class TestReduction1:
         inst = reduction1_instance(square_cycle())
         assert inst.n == 2 and inst.m == 2
         for column in range(inst.m):
-            assert inst.arrival.column_mass(column) == F(1)
+            assert sum(row[column] for row in inst.arrival.matrix) == F(1)
         for mechanism in Mechanism:
             report = outcome_report(QueryContext(inst, mechanism))
             assert report.expected_utility == (F(1, 2), F(1, 2))
@@ -381,7 +381,7 @@ class TestSubsetReduction:
         assert inst.utilities[0] == inst.utilities[1]
         assert isinstance(inst.arrival, Distribution)
         for j in range(3):
-            assert inst.arrival.column(j) == (F(1, 3),) * 3
+            assert tuple(row[j] for row in inst.arrival.matrix) == (F(1, 3),) * 3
 
     def test_full_cardinality_corners_agree_with_subset_oracle(self):
         # with c equal to the set size the utility threshold and the subset

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from onlinefair import FixedOrder, InputError, Mechanism, feasible_for_counts
 from onlinefair.arrivals import _plan
 from onlinefair.engine import _step
+from onlinefair.mechanisms import packed_sizes
 
 F = Fraction
 
@@ -14,12 +16,17 @@ def step_one_item(mechanism, counts, bidders):
     """Step one arriving item through the count-state kernel from bundle sizes
     ``counts``.  Returns (successor states keyed by bundle sizes under
     Balanced Like, each agent's probability of receiving the item)."""
-    sizes = tuple(counts) if mechanism is Mechanism.BALANCED_LIKE else ()
-    plan = _plan(FixedOrder((0,)), len(counts), budget=10)
-    successors, scale, credits, unit = _step({(0, sizes): 1}, 1, 0, plan,
-                                             (tuple(bidders),), mechanism, budget=10)
-    return ({key: F(value, scale) for (_mask, key), value in successors.items()},
-            [F(credits.get((agent, 0), 0), unit) for agent in range(len(counts))])
+    n = len(counts)
+    base, units, masks, tags = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),))
+    plan = _plan(FixedOrder((0,)), n, budget=10)
+    successors, scale, credits, unit = _step(
+        {(0, sum(map(mul, counts, units))): 1}, 1, 0, plan, (tuple(bidders),),
+        (base, units, masks, tags), {}, mechanism, budget=10)
+    # the packed sizes read back as a tuple under Balanced Like, () under Like
+    sizes = {packed: tuple(packed // u % base for u in units if u)
+             for _mask, packed in successors}
+    return ({sizes[packed]: F(value, scale) for (_mask, packed), value in successors.items()},
+            [F(credits.get((agent, 0), 0), unit) for agent in range(n)])
 
 
 class TestMechanismNames:
