@@ -561,8 +561,10 @@ class TestParser:
         assert built(build_parser()) == self.COMMANDS
         assert built(build_parser("bogus")) == self.COMMANDS
         asked = []
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: asked.append(command) or build_parser(command))
+        def recorded(command=None):
+            asked.append(command)
+            return build_parser(command)
+        monkeypatch.setattr(cli, "build_parser", recorded)
         self.parse(capsys, main, [command, "--help"])
         self.parse(capsys, main, ["--help"])
         assert asked == [command, "--help"]

@@ -570,7 +570,8 @@ class TestKernelMemo:
         inst = reduction2_instance(complete_bipartite(3, 3))
         calls, keys = count_feasible_calls(monkeypatch), set()
         report = outcome_report(QueryContext(inst, Mechanism.BALANCED_LIKE))
-        utility, _alloc = naive_fixed_order_outcome(inst, Mechanism.BALANCED_LIKE, keys=keys)
+        utility, _alloc = naive_fixed_order_outcome(inst, Mechanism.BALANCED_LIKE,
+                                                    keys=keys)
         assert report.expected_utility == tuple(utility)
         assert len(calls) == len(keys) == 194
         # under a fixed order every state meets one item per moment

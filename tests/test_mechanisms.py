@@ -17,15 +17,17 @@ def step_one_item(mechanism, counts, bidders):
     ``counts``.  Returns (successor states keyed by bundle sizes under
     Balanced Like, each agent's probability of receiving the item)."""
     n = len(counts)
-    base, units, masks, tags = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),))
+    layout = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),))
+    base, units = layout[:2]
     plan = _plan(FixedOrder((0,)), n, budget=10)
     successors, scale, credits, unit = _step(
         {(0, sum(map(mul, counts, units))): 1}, 1, 0, plan, (tuple(bidders),),
-        (base, units, masks, tags), {}, mechanism, budget=10)
+        layout, {}, mechanism, budget=10)
     # the packed sizes read back as a tuple under Balanced Like, () under Like
     sizes = {packed: tuple(packed // u % base for u in units if u)
              for _mask, packed in successors}
-    return ({sizes[packed]: F(value, scale) for (_mask, packed), value in successors.items()},
+    return ({sizes[packed]: F(value, scale)
+             for (_mask, packed), value in successors.items()},
             [F(credits.get((agent, 0), 0), unit) for agent in range(n)])
 
 
