@@ -207,6 +207,8 @@ def _run_outcome(args) -> dict:
             else:
                 out["value"] = format_rational(report.expected_utility[agent])
     elif args.query == "necessary":
+        if args.item is not None:
+            raise InputError("--item is not supported for necessary queries")
         if args.threshold is None:
             raise InputError("necessary queries need --threshold p/q")
         threshold = parse_rational(args.threshold)
@@ -356,7 +358,8 @@ def _add_outcome(sub):
                          help="item index (1-based) for per-item queries")
     outcome.add_argument("--threshold", help="rational threshold p/q")
     outcome.add_argument("--prefix",
-                         help="known-prefix JSON file: {arrived, bundles, probability}")
+                         help="known-prefix JSON file: {arrived, bundles}, plus an "
+                         "optional probability that is never multiplied in")
     outcome.set_defaults(handler=_run_outcome)
 
 

@@ -11,37 +11,34 @@ Three information settings are supported:
 Every arrival model is read as one integer column per moment
 (``arrivals.py``): a fixed ordering is one certain item per moment, a
 distribution a column of arrival probabilities a / q over the column's lcm
-denominator q.  Three loops step over these columns.  The count-state kernel
-behind ``outcome_report`` gives every exact outcome: Balanced Like gives an
-item to the positive bidders holding the fewest items, so its frontier maps
-(arrived-item bitmask, bundle sizes packed in one int) to reach probability,
-Like keeps no sizes (one state per moment under a fixed ordering), and each
-item's allocation probability is added while it is placed; ``_step`` moves
-that frontier one moment, for the kernel and for the best-response search.
-An item's feasible set depends only on the item and its positive bidders'
-sizes, so ``_step`` looks it up in a memo keyed on those
-(``mechanisms.packed_sizes``) that lives for a whole kernel run or search;
-the memo stops growing at the budget.  The frontier's values are Python
-ints over one per-frontier scale: a moment multiplies the scale by its
-column's lcm denominator q times L = lcm(1..n), so an arrival probability
-a / q split over f feasible agents is the exact int ``a * (L // f)``, and
-dividing out the gcd after every moment keeps the frontier in lowest
-terms.  Completion factors are ints over one common
-denominator, and the credits of a moment become one ``Fraction`` per (agent,
-item), so every answer is still exact.  ``states_after``, the one
-owner-level view for every arrival model, with or without a known prefix,
-keys the frontier on (arrived mask, one bundle mask per agent) to expose
-intermediate allocations, steps the same int shares over one scale, and
-takes its void mass as the complement of the surviving mass; the online
-queries are one ``states_after`` step from the known prefix.  The Monte
-Carlo sampler draws every uncertain column once per sample by bisecting its
-cumulative probabilities and each winner from raw random bits, consuming the
-generator exactly as ``randrange`` would, and reports each agent's standard
-error and the voided runs with its means.  It keeps a run's bundle sizes
-packed in one int and memoises feasible sets on the same keys, since every
-run revisits the same few.
-Possibility is positivity of the exact answer, and necessity is a threshold
-on it.
+denominator q.  Two loops step over these columns.  ``_step`` moves an
+exact frontier one moment, mapping (arrived-item bitmask, one packed int)
+to reach probability.  Balanced Like gives an item to the positive bidders
+holding the fewest items, so the packed int holds the bundle sizes; Like
+keeps none (one state per moment under a fixed ordering).  The count-state
+kernel behind ``outcome_report`` and the best-response search step that
+frontier and add each item's allocation probability while it is placed.
+``states_after``, the one owner-level view for every arrival model, with or
+without a known prefix, steps the same frontier with one bundle mask per
+agent packed above the sizes, and takes its void mass as the complement of
+the surviving mass; the online queries are one ``states_after`` step from
+the known prefix.  An item's feasible set depends only on the item and its
+positive bidders' sizes, so ``_step`` looks it up in a memo keyed on those
+(``mechanisms.packed_sizes``) that lives for a whole run or search and
+stops growing at the budget.  The frontier's values are Python ints over
+one per-frontier scale: a moment multiplies the scale by its column's lcm
+denominator q times L = lcm(1..n), so an arrival probability a / q split
+over f feasible agents is the exact int ``a * (L // f)``, and dividing out
+the gcd after every moment keeps the frontier in lowest terms.  Completion
+factors are ints over one common denominator, and the credits of a moment
+become one ``Fraction`` per (agent, item), so every answer is still exact.
+The Monte Carlo sampler, the other loop, draws every uncertain column once
+per sample by bisecting its cumulative probabilities and each winner from
+raw random bits, consuming the generator exactly as ``randrange`` would, and
+reports each agent's standard error and the voided runs with its means.  It
+keeps a run's bundle sizes packed in one int and memoises feasible sets on
+the same keys, since every run revisits the same few.  Possibility is
+positivity of the exact answer, and necessity is a threshold on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -144,49 +141,37 @@ def _checked_prefix(ctx: QueryContext):
     return arrived, state
 
 
-def _lowest_terms(frontier, scale: int) -> int:
-    """Divide ``scale`` and every frontier value in place by their gcd (found
-    with an early exit at 1) and return the reduced scale."""
-    common = scale
-    for value in frontier.values():
-        if common == 1:
-            break
-        common = math.gcd(common, value)
-    if common > 1:
-        scale //= common
-        for key in frontier:
-            frontier[key] //= common
-    return scale
-
-
 def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
           mechanism, budget: int):
-    """Advance a count-state frontier over one moment.
+    """Advance a frontier over one moment: the one exact stepping loop.
 
-    The frontier maps (arrived mask, packed bundle sizes) to an int: the
-    probability of reaching that state without a void is ``value / scale``.
-    ``plan`` comes from ``_plan``, and ``layout`` from ``packed_sizes`` over
-    ``positive``, the bidders of each item (or of each entry the layout
-    keys).  A win adds the winner's unit to the packed sizes.  ``memo``
-    maps the layout's key to the feasible set and the distinct units its
-    agents add: one per agent under Balanced Like, and the single 0 under
-    Like, whose units are all 0, or when nobody may take the item.  So such
-    a placement has one successor, which takes the whole branch.  A miss
-    unpacks the sizes and calls ``feasible_for_counts``, and the memo keeps
-    at most ``budget`` answers, so past that a miss is only slower.  The
-    caller keeps one memo for a whole kernel run or search.
+    The frontier maps (arrived mask, packed int) to an int: the probability
+    of reaching that state without a void is ``value / scale``.  ``plan``
+    comes from ``_plan`` (or has no completion factors), and ``layout`` is
+    ``packed_sizes`` over ``positive``, the bidders of each item (or of each
+    entry the layout keys), plus ``owners``, one bundle-field unit per agent.
+    Agent a winning item k adds the move ``units[a] + owners[a] * (1 << k)``.
+    The kernel and the search pass zero owners, so their packed int is the
+    bundle sizes alone; ``states_after`` keeps each bundle mask above them.
+    ``memo`` maps the layout's key, which carries the item, to the feasible
+    set and the distinct moves its agents make: the single 0 under Like
+    with zero owners, whose units are all 0, or when nobody may take the
+    item.  So such a placement has one successor, which takes the whole
+    branch.  A miss unpacks the sizes and calls ``feasible_for_counts``, and
+    the memo keeps at most ``budget`` answers, so past that a miss is only
+    slower.  The caller keeps one memo for a whole run or search.
 
     Returns (successors, their scale, credits, unit): placing item k on
     agent i adds the branch probability times the completion factor of the
     new mask, summed over the moment as the int ``credits[i, k]``, to i's
     probability of receiving k as ``credits[i, k] / unit``.  Before
     returning, the successors and their scale are divided in place by their
-    gcd, so the frontier stays in lowest terms and its ints stay small on
-    deep instances.
+    gcd (found with an early exit at 1), so the frontier stays in lowest
+    terms and its ints stay small on deep instances.
     """
     columns, completion, unit = plan
     grow, entries = columns[moment]
-    base, units, masks, tags = layout
+    base, units, masks, tags, owners = layout
     successors: dict = {}
     credits: dict = {}
     for item, bit, shares in entries:
@@ -207,8 +192,8 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
             if hit is None:
                 feas = feasible_for_counts(
                     mechanism, [packed // u % base for u in units if u], positive[item])
-                # the distinct size increments; one, 0, under Like or if nobody wins
-                hit = feas, tuple({units[agent] for agent in feas}) or (0,)
+                # the distinct moves; one, 0, under Like with no owners or if nobody wins
+                hit = feas, tuple({units[a] + owners[a] * bit for a in feas}) or (0,)
                 if len(memo) < budget:
                     memo[key] = hit
             feas, moves = hit
@@ -223,11 +208,20 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
                 credits[key] = credits.get(key, 0) + credit
     if len(successors) > budget:
         raise BudgetExceeded(
-            f"count-state frontier reached {len(successors)} states at "
+            f"frontier reached {len(successors)} states at "
             f"moment {moment + 1} of {len(columns)} (budget {budget})")
     scale *= grow
     unit *= scale  # credits are over the unreduced scale times C
-    return successors, _lowest_terms(successors, scale), credits, unit
+    common = scale
+    for value in successors.values():
+        if common == 1:
+            break
+        common = math.gcd(common, value)
+    if common > 1:
+        scale //= common
+        for key in successors:
+            successors[key] //= common
+    return successors, scale, credits, unit
 
 
 def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
@@ -237,7 +231,7 @@ def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
     n, m = instance.n, instance.m
     positive = _positive_bidders(ctx)
     plan = _plan(instance.arrival, n, ctx.budget)
-    layout = packed_sizes(mechanism, n, m, positive)
+    layout = packed_sizes(mechanism, n, m, positive) + ([0] * n,)
     alloc = [[ZERO] * m for _ in range(n)]
     frontier, scale, memo = {(0, 0): 1}, 1, {}
     for moment in range(m):
@@ -272,56 +266,48 @@ def states_after(ctx: QueryContext, moments: int):
     prefix the probabilities are conditional on that prefix, whose own
     ``probability`` is not multiplied in.
 
-    The frontier maps (arrived mask, one bundle mask per agent) to an int
-    over one scale, stepped with ``_step``'s shares but no completion factor;
-    Balanced Like reads each bundle size as the mask's bit count.  The
-    states repeat most bundles, so one frozenset is built per distinct mask:
-    sharing them leaves far fewer live containers for cyclic garbage
+    The frontier is ``_step``'s, with its credits ignored and one memo for
+    the whole build.  It takes no completion factor: owner-level states
+    carry none, and building the table could exceed the budget on arrival
+    masks the requested depth never reaches.  Its packed int holds the
+    bundle sizes (none under Like) and, above them, one m-bit bundle mask
+    per agent, agent 0's highest, so the packed ints sort as the bundle
+    masks do.  Each distinct packed int is decoded once at the end, and the
+    states repeat most bundles, so one frozenset is built per distinct
+    mask: sharing them leaves far fewer live containers for cyclic garbage
     collection to scan.
     """
-    mechanism, budget = ctx.mechanism, ctx.budget
+    mechanism = ctx.mechanism
     n, m = ctx.instance.n, ctx.instance.m
     if ctx.known_prefix is None:
-        arrived, start = (), (0,) * n
+        arrived, bundles = (), ((),) * n
     else:
         arrived, state = _checked_prefix(ctx)
-        start = tuple(sum(1 << k for k in bundle) for bundle in state.bundles)
+        bundles = state.bundles
     remaining = m - len(arrived)
     if not 0 <= moments <= remaining:
         raise InputError(f"moments must be within 0..{remaining}")
     positive = _positive_bidders(ctx)
-    columns = _scaled_columns(_columns(ctx.instance.arrival), n)
-    frontier, scale = {(sum(1 << k for k in arrived), start): 1}, 1
+    base, units, masks, tags = packed_sizes(mechanism, n, m, positive)
+    shifts = [n * (base.bit_length() - 1) + m * i for i in reversed(range(n))]
+    owners = [1 << shift for shift in shifts]
+    start = sum(len(bundle) * unit + sum(owner << k for k in bundle)
+                for bundle, unit, owner in zip(bundles, units, owners))
+    layout = base, units, masks, tags, owners
+    plan = _scaled_columns(_columns(ctx.instance.arrival), n), None, 1
+    frontier, scale, memo = {(sum(1 << k for k in arrived), start): 1}, 1, {}
     for moment in range(len(arrived), len(arrived) + moments):
-        grow, entries = columns[moment]
-        successors: dict = {}
-        for (mask, bundles), weight in frontier.items():
-            counts = tuple(map(int.bit_count, bundles))
-            for item, bit, shares in entries:
-                if mask & bit:
-                    continue
-                feas = feasible_for_counts(mechanism, counts, positive[item])
-                share = weight * shares[len(feas)]
-                if not feas:  # nobody may take the item: the bundles stay
-                    key = (mask | bit, bundles)
-                    successors[key] = successors.get(key, 0) + share
-                    continue
-                for agent in feas:
-                    key = (mask | bit, bundles[:agent] + (bundles[agent] | bit,)
-                           + bundles[agent + 1:])
-                    successors[key] = successors.get(key, 0) + share
-        if len(successors) > budget:
-            raise BudgetExceeded(
-                f"owner-level frontier reached {len(successors)} states at "
-                f"moment {moment + 1} of {m} (budget {budget})")
-        frontier, scale = successors, _lowest_terms(successors, scale * grow)
+        frontier, scale, _credits, _unit = _step(frontier, scale, moment, plan, positive,
+                                                 layout, memo, mechanism, ctx.budget)
     void = 1 - Fraction(sum(frontier.values()), scale)
-    masks = {mask for key in frontier for mask in (key[0], *key[1])}
+    full = (1 << m) - 1
+    held = {packed: [packed >> shift & full for shift in shifts]
+            for _mask, packed in frontier}
     items = {mask: frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
-             for mask in masks}.__getitem__
-    return [(items(mask), AllocationState(tuple(map(items, bundles)),
+             for mask in {key[0] for key in frontier}.union(*held.values())}.__getitem__
+    return [(items(mask), AllocationState(tuple(map(items, held[packed])),
                                           Fraction(value, scale)))
-            for (mask, bundles), value in sorted(frontier.items())], void
+            for (mask, packed), value in sorted(frontier.items())], void
 
 
 # --- the online (known prefix) setting ---------------------------------------

@@ -131,7 +131,7 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     base, units, variant_masks, variant_tags = packed_sizes(mechanism, n, m, variants)
     # each item's entry, filled in as the bits are decided
     positive, masks, tags = [None] * m, [0] * m, [0] * m
-    layout, memo = (base, units, masks, tags), {}
+    layout, memo = (base, units, masks, tags, [0] * n), {}
     weight = [1 << (m - 1 - k) for k in range(m)]
     true_row = instance.utilities[agent]
     sincere_bits = sum(weight[k] for k in range(m) if true_row[k])

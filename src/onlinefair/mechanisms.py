@@ -55,7 +55,8 @@ def packed_sizes(mechanism: Mechanism, n: int, m: int, positive_bidders):
     field: equal keys have equal feasible sets.  ``positive_bidders`` holds
     one bidder tuple per entry: one per item, or more when an item has
     several bidder sets (best-response search gives item k's bid-1 variant
-    the entry k + m).  Returns ``(base, units, masks, tags)``.
+    the entry k + m).  Returns ``(base, units, masks, tags)``; ``engine._step``
+    takes it with a fifth field, each agent's bundle-field unit (``owners``).
     """
     base = 1 << m.bit_length()
     sized = mechanism is Mechanism.BALANCED_LIKE

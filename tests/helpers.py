@@ -140,6 +140,53 @@ def naive_next_moment(instance, mechanism, arrived, bundles, bids=None):
     return wins
 
 
+def naive_states_after(instance, mechanism, moments, bids=None, prefix=None):
+    """The owner-level states ``moments`` arrivals on, by walking every
+    arrival draw and every uniform winner in ``Fraction``s, one path at a
+    time, merging only at the leaves.
+
+    Starts from the empty allocation, or from ``prefix`` = (arrived items,
+    bundles), whose probability is not multiplied in.  Returns
+    ({(arrived frozenset, tuple of bundle frozensets): probability}, void
+    mass), where a draw that repeats an arrived item or lands on a column's
+    no-arrival residual is void."""
+    n, m = instance.n, instance.m
+    rows = instance.utilities if bids is None else bids
+    if isinstance(instance.arrival, FixedOrder):
+        columns = [{k: F(1)} for k in instance.arrival.order]
+    else:
+        matrix = instance.arrival.matrix
+        columns = [{k: matrix[k][j] for k in range(m) if matrix[k][j] > 0}
+                   for j in range(m)]
+    arrived, bundles = prefix if prefix is not None else ((), [()] * n)
+    states = {}
+    void = F(0)
+
+    def walk(j, seen, held, prob):
+        nonlocal void
+        if j == len(arrived) + moments:
+            key = (frozenset(seen), tuple(held))
+            states[key] = states.get(key, F(0)) + prob
+            return
+        column = columns[j]
+        void += prob * (1 - sum(column.values(), F(0)))
+        for item, p in column.items():
+            if item in seen:
+                void += prob * p
+                continue
+            likers = [i for i in range(n) if rows[i][item] > 0]
+            chosen = feasible_likers(mechanism, [len(b) for b in held], likers)
+            if not chosen:
+                walk(j + 1, seen | {item}, held, prob * p)
+            for i in chosen:
+                walk(j + 1, seen | {item},
+                     held[:i] + (held[i] | {item},) + held[i + 1:],
+                     prob * p / len(chosen))
+
+    walk(len(arrived), frozenset(arrived), tuple(map(frozenset, bundles)), F(1))
+    return states, void
+
+
 def exact_variance(instance, mechanism, ctx_states, aborted=None):
     """Per-agent exact utility variances from a list of terminal states.
 

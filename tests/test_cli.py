@@ -100,6 +100,16 @@ class TestOutcome:
                                "--agent", "1", "--threshold", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("item", ["2", "9"])
+    def test_necessary_rejects_item(self, capsys, witness_instance, item):
+        # a necessary query is about the agent's utility, so an item, in range
+        # or not, is an input error rather than silently ignored
+        code, out, err = run_cli(capsys, "outcome", witness_instance, "--query",
+                                 "necessary", "--mechanism", "like", "--agent", "1",
+                                 "--threshold", "1/2", "--item", item)
+        assert code == 2 and out == ""
+        assert "--item is not supported for necessary queries" in err
+
     def test_possible(self, capsys, witness_instance):
         out = run_json(capsys, "outcome", witness_instance, "--query",
                        "possible", "--mechanism", "balanced-like", "--agent", "1")
@@ -473,7 +483,7 @@ class TestExitCodes:
                                  "--prefix", str(path))
         assert code == 3 and out == ""
         assert err.rstrip().endswith(
-            "owner-level frontier reached 2 states at moment 2 of 2 (budget 1)")
+            "frontier reached 2 states at moment 2 of 2 (budget 1)")
 
     def test_invalid_budget_env(self, capsys, monkeypatch, pair_instance):
         monkeypatch.setenv("ONLINEFAIR_BUDGET", "many")
@@ -889,7 +899,13 @@ class TestTraceHarness:
                             pair_instance, "--query", "exact", "--mechanism",
                             "like", "--agent", "1", *extra)
         assert result.returncode == 0, result.stderr
-        assert span in {name for name, *_rest in json.loads(spans.read_text())["spans"]}
+        trace = json.loads(spans.read_text())
+        assert span in {name for name, *_rest in trace["spans"]}
+        if extra:
+            # the owner-level step computes feasible sets through the
+            # engine's module global too, where the harness counts them
+            assert sum(calls for name, _parent, calls, _seconds in trace["leaves"]
+                       if name == "mechanisms.feasible_for_counts") > 0
 
     def test_traced_sample_counts_feasible_sets(self, pair_instance, tmp_path):
         # the sampler computes feasible sets through the engine's module

@@ -46,6 +46,7 @@ from helpers import (
     naive_fixed_order_outcome,
     naive_monte_carlo,
     naive_next_moment,
+    naive_states_after,
     random_distribution_instance,
     random_fixed_instance,
 )
@@ -331,6 +332,86 @@ class TestOwnerLevelViews:
             assert {used for used, _s in states} == {frozenset(order[:d])}
 
 
+@st.composite
+def with_prefix(draw, cases):
+    """A case from ``cases`` plus a known prefix from ``random_prefix``, or
+    None."""
+    inst, bids = draw(cases)
+    seed = draw(st.none() | st.integers(0, 2**32))
+    return inst, bids, None if seed is None else random_prefix(random.Random(seed), inst)
+
+
+def owner_boundary_example(m, contested):
+    # agent 2 holds the first m - 1 items, so its size field, the highest,
+    # sits just below its own bundle field, the lowest.  It alone bids on
+    # the last item and reaches size m, or the two others, both empty, tie
+    # for it
+    side = (F(0),) * (m - 1) + (F(int(contested)),)
+    inst = Instance(3, m, ((F(1),) * m,) * 3, FixedOrder(tuple(range(m))))
+    prefix = (tuple(range(m - 1)), [set(), set(), set(range(m - 1))])
+    return inst, (side, side, (F(1),) * m), prefix
+
+
+class TestOwnerLevelStates:
+    """``states_after`` steps ``_step`` with one bundle mask per agent packed
+    above the sizes, and shares the kernel's feasibility memo."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(with_prefix(st.one_of(with_bids(fixed_instances(max_m=5)),
+                                 with_bids(distribution_instances()))),
+           st.sampled_from(list(Mechanism)))
+    @example(owner_boundary_example(7, False), Mechanism.BALANCED_LIKE)
+    @example(owner_boundary_example(7, True), Mechanism.BALANCED_LIKE)
+    @example(owner_boundary_example(8, False), Mechanism.BALANCED_LIKE)
+    @example(owner_boundary_example(8, True), Mechanism.BALANCED_LIKE)
+    def test_matches_naive_states(self, case, mechanism):
+        # arrived sets, bundles, probabilities and void, state by state, at
+        # every depth from the empty allocation or from a known prefix
+        inst, bids, prefix = case
+        known = prefix and (prefix[0],
+                            AllocationState(tuple(map(frozenset, prefix[1])), F(1, 2)))
+        ctx = QueryContext(inst, mechanism, BidProfile(bids), known_prefix=known)
+        for moments in range(inst.m - (len(prefix[0]) if prefix else 0) + 1):
+            states, void = states_after(ctx, moments)
+            expected, expected_void = naive_states_after(inst, mechanism, moments,
+                                                         bids, prefix)
+            assert {(used, s.bundles): s.probability for used, s in states} == expected
+            assert len(states) == len(expected) and void == expected_void
+            # sorted by arrived mask, then bundle masks
+            keys = [[sum(1 << k for k in items) for items in (used, *s.bundles)]
+                    for used, s in states]
+            assert keys == sorted(keys)
+
+    def test_computes_each_feasible_set_once(self, monkeypatch):
+        # the K33 gadget's owner-level build meets the same (item, bidder
+        # sizes) keys as the kernel, and computes each one once
+        inst = reduction2_instance(complete_bipartite(3, 3))
+        calls, keys = count_feasible_calls(monkeypatch), set()
+        states, _void = states_after(QueryContext(inst, Mechanism.BALANCED_LIKE), inst.m)
+        naive_fixed_order_outcome(inst, Mechanism.BALANCED_LIKE, keys=keys)
+        assert len(calls) == len(keys) == 194
+        assert len(states) > 10 * len(keys)
+
+    def test_memo_stops_growing_at_the_budget(self, monkeypatch):
+        # agents 0 and 1 tie for the first item and agent 2 alone bids on the
+        # other five, so both states meet each later item with the same key:
+        # six keys, but the frontier peaks at two.  Under a budget of 3 the
+        # memo fills, later keys are computed on every visit, and the states
+        # do not change
+        first = (F(1),) + (F(0),) * 5
+        inst = Instance(3, 6, (first, first, tuple(1 - u for u in first)),
+                        FixedOrder(tuple(range(6))))
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        calls = count_feasible_calls(monkeypatch)
+        full = states_after(ctx, 6)
+        assert len(calls) == 6 and len(full[0]) == 2
+        calls.clear()
+        assert states_after(ctx._replace(budget=3), 6) == full
+        assert len(calls) > 6
+        with pytest.raises(BudgetExceeded):  # 3 is just above the peak
+            states_after(ctx._replace(budget=1), 6)
+
+
 class TestLikeClosedForm:
     """Like outcomes come from the count-state kernel, whose frontier holds
     one state per moment; they satisfy the closed form checked here."""
@@ -487,7 +568,7 @@ class TestScaledFrontier:
     def frontiers(inst, mechanism):
         plan = _plan(inst.arrival, inst.n, DEFAULT_ENUMERATION_BUDGET)
         positive = _positive_bidders(QueryContext(inst, mechanism))
-        layout = packed_sizes(mechanism, inst.n, inst.m, positive)
+        layout = packed_sizes(mechanism, inst.n, inst.m, positive) + ([0] * inst.n,)
         frontier, scale, memo = {(0, 0): 1}, 1, {}
         for moment in range(inst.m):
             frontier, scale, _credits, _unit = _step(
@@ -728,7 +809,7 @@ class TestOnlineQueries:
         assert next_item_probability(ctx) == (F(1, 3),) * 3
         for query in (next_item_probability, online_utilities,
                       lambda c: possible_item(c, 0, 1)):
-            with pytest.raises(BudgetExceeded, match=r"^owner-level frontier reached "
+            with pytest.raises(BudgetExceeded, match=r"^frontier reached "
                                r"3 states at moment 2 of 3 \(budget 2\)$"):
                 query(ctx._replace(budget=2))
 

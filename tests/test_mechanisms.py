@@ -17,7 +17,7 @@ def step_one_item(mechanism, counts, bidders):
     ``counts``.  Returns (successor states keyed by bundle sizes under
     Balanced Like, each agent's probability of receiving the item)."""
     n = len(counts)
-    layout = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),))
+    layout = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),)) + ([0] * n,)
     base, units = layout[:2]
     plan = _plan(FixedOrder((0,)), n, budget=10)
     successors, scale, credits, unit = _step(
