@@ -10,7 +10,6 @@ computed in exact rational arithmetic.
 from .core import (
     AllocationState,
     ArrivalModel,
-    BidProfile,
     BudgetExceeded,
     DEFAULT_ENUMERATION_BUDGET,
     DimensionMismatch,
@@ -22,11 +21,9 @@ from .core import (
     InvalidOrder,
     NegativeValue,
     OutcomeReport,
-    Rational,
     format_rational,
     instance_from_json_dict,
     instance_to_json_dict,
-    make_instance,
     parse_rational,
     validate_instance,
 )

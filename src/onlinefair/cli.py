@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -179,6 +178,8 @@ def _context(args) -> QueryContext:
 
 
 def _run_outcome(args) -> dict:
+    if args.threshold is not None and args.query != "necessary":
+        raise InputError(f"--threshold is not supported for {args.query} queries")
     ctx = _context(args)
     agent = _agent_index(args.agent, ctx.instance.n)
     out = {
@@ -226,6 +227,8 @@ def _run_outcome(args) -> dict:
 
 
 def _run_manipulate(args) -> dict:
+    if args.mode != "necessary" and (args.threshold is not None or args.strict):
+        raise InputError("--threshold and --strict are only for --mode necessary")
     instance = _load_instance(args.instance)
     mechanism = Mechanism.from_string(args.mechanism)
     budget = _budget()
@@ -259,14 +262,12 @@ def _run_manipulate(args) -> dict:
         deviation_row, sincere_row = data, None
     query = ManipulationQuery(
         instance, mechanism, agent,
-        deviation=tuple(parse_rational(x)
-                        for x in json_list(deviation_row, "deviation bids")),
-        sincere=(None if sincere_row is None
-                 else tuple(parse_rational(x)
-                            for x in json_list(sincere_row, "sincere bids"))),
-        threshold=parse_rational(args.threshold) if args.threshold else Fraction(0),
+        deviation=json_list(deviation_row, "deviation bids"),
+        sincere=None if sincere_row is None else json_list(sincere_row, "sincere bids"),
+        threshold=parse_rational(args.threshold or 0),
+        budget=budget,
     )
-    sincere_value, deviated_value = utilities_under_deviation(query, budget)
+    sincere_value, deviated_value = utilities_under_deviation(query)
     gain = deviated_value - sincere_value
     out["sincere_utility"] = format_rational(sincere_value)
     out["deviated_utility"] = format_rational(deviated_value)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
-
-Rational = Fraction
+from typing import NamedTuple, Union
 
 #: Default cap on the merged enumeration frontier (number of states).
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -147,24 +145,6 @@ class Instance(NamedTuple):
     arrival: ArrivalModel
 
 
-class BidProfile(NamedTuple):
-    """Declared bids, one row per agent.  Feasibility looks only at bid
-    positivity; utilities are still evaluated against the instance's true
-    utility matrix, which is what makes misreporting analysable."""
-
-    bids: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def sincere(cls, instance: Instance) -> "BidProfile":
-        return cls(instance.utilities)
-
-    def with_row(self, agent: int, row: Sequence) -> "BidProfile":
-        new_row = tuple(parse_rational(x) for x in row)
-        rows = list(self.bids)
-        rows[agent] = new_row
-        return BidProfile(tuple(rows))
-
-
 class AllocationState(NamedTuple):
     """A partial allocation: one bundle per agent, plus the probability with
     which the mechanism reaches this state."""
@@ -278,12 +258,6 @@ def validate_instance(instance: Instance) -> Instance:
         raise InputError(f"unknown arrival model {arrival!r}")
 
     return Instance(instance.n, instance.m, utilities, arrival)
-
-
-def make_instance(n: int, m: int, utilities, arrival: ArrivalModel) -> Instance:
-    """Build and validate an instance from loosely-typed utility rows."""
-    rows = tuple(tuple(row) for row in utilities)
-    return validate_instance(Instance(n, m, rows, arrival))
 
 
 # --- JSON instance format ---------------------------------------------------

@@ -61,7 +61,6 @@ from typing import NamedTuple, Optional
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
-    BidProfile,
     BudgetExceeded,
     DimensionMismatch,
     FixedOrder,
@@ -94,7 +93,9 @@ class NoPositiveBranch(InputError):
 class QueryContext(NamedTuple):
     """Everything a query needs: instance, mechanism, bids, optional prefix.
 
-    ``bids`` defaults to sincere (the utility matrix).  ``known_prefix`` is a
+    ``bids`` holds one bid row per agent and defaults to sincere (the utility
+    matrix).  Feasibility reads only which bids are positive; utilities are
+    still priced at the instance's true values.  ``known_prefix`` is a
     pair (arrived item indices in arrival order, allocation state reached);
     it switches exact/possible/necessary queries to the online setting where
     nothing is known about future items.
@@ -102,7 +103,7 @@ class QueryContext(NamedTuple):
 
     instance: Instance
     mechanism: Mechanism
-    bids: Optional[BidProfile] = None
+    bids: Optional[tuple[tuple[Fraction, ...], ...]] = None
     known_prefix: Optional[tuple[tuple[int, ...], AllocationState]] = None
     budget: int = DEFAULT_ENUMERATION_BUDGET
 
@@ -110,7 +111,7 @@ class QueryContext(NamedTuple):
 def _positive_bidders(ctx: QueryContext):
     """Each item's positive bidders, after checking the bids (sincere by
     default) against the instance."""
-    rows = ctx.instance.utilities if ctx.bids is None else ctx.bids.bids
+    rows = ctx.instance.utilities if ctx.bids is None else ctx.bids
     if len(rows) != ctx.instance.n or any(len(r) != ctx.instance.m for r in rows):
         raise DimensionMismatch("bid profile does not match the instance")
     for row in rows:
@@ -224,36 +225,6 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
     return successors, scale, credits, unit
 
 
-def _count_state_outcome(ctx: QueryContext) -> OutcomeReport:
-    """Exact outcome by the count-state kernel from the empty allocation:
-    one ``_step`` per moment, sharing one feasibility memo."""
-    instance, mechanism = ctx.instance, ctx.mechanism
-    n, m = instance.n, instance.m
-    positive = _positive_bidders(ctx)
-    plan = _plan(instance.arrival, n, ctx.budget)
-    layout = packed_sizes(mechanism, n, m, positive) + ([0] * n,)
-    alloc = [[ZERO] * m for _ in range(n)]
-    frontier, scale, memo = {(0, 0): 1}, 1, {}
-    for moment in range(m):
-        frontier, scale, credits, unit = _step(frontier, scale, moment, plan, positive,
-                                               layout, memo, mechanism, ctx.budget)
-        for (agent, item), credit in credits.items():
-            credit = Fraction(credit, unit)
-            held = alloc[agent][item]
-            alloc[agent][item] = credit if held is ZERO else held + credit
-    # priced at the true utilities, whatever the bids were; products that
-    # share a denominator are summed as ints, one Fraction per denominator
-    utility = []
-    for row, values in zip(alloc, instance.utilities):
-        by_denominator: dict = {}
-        for p, u in zip(row, values):
-            if p and u:
-                d = p.denominator * u.denominator
-                by_denominator[d] = by_denominator.get(d, 0) + p.numerator * u.numerator
-        utility.append(sum((Fraction(v, d) for d, v in by_denominator.items()), ZERO))
-    return OutcomeReport(tuple(utility), tuple(tuple(row) for row in alloc), "dp")
-
-
 def states_after(ctx: QueryContext, moments: int):
     """The owner-level states after the next ``moments`` arrivals, under a
     fixed ordering or a distribution, from the empty allocation or from the
@@ -350,14 +321,39 @@ def online_utilities(ctx: QueryContext) -> tuple[Fraction, ...]:
 
 
 def outcome_report(ctx: QueryContext) -> OutcomeReport:
-    """Full exact outcome by the count-state kernel (method "dp").
+    """Full exact outcome by the count-state kernel (method "dp") from the
+    empty allocation: one ``_step`` per moment, sharing one feasibility memo.
 
     Known-prefix contexts are served by the online queries instead.
     """
     if ctx.known_prefix is not None:
         raise UnsupportedQuery(
             "known-prefix contexts use online_utilities / next_item_probability")
-    return _count_state_outcome(ctx)
+    instance, mechanism = ctx.instance, ctx.mechanism
+    n, m = instance.n, instance.m
+    positive = _positive_bidders(ctx)
+    plan = _plan(instance.arrival, n, ctx.budget)
+    layout = packed_sizes(mechanism, n, m, positive) + ([0] * n,)
+    alloc = [[ZERO] * m for _ in range(n)]
+    frontier, scale, memo = {(0, 0): 1}, 1, {}
+    for moment in range(m):
+        frontier, scale, credits, unit = _step(frontier, scale, moment, plan, positive,
+                                               layout, memo, mechanism, ctx.budget)
+        for (agent, item), credit in credits.items():
+            credit = Fraction(credit, unit)
+            held = alloc[agent][item]
+            alloc[agent][item] = credit if held is ZERO else held + credit
+    # priced at the true utilities, whatever the bids were; products that
+    # share a denominator are summed as ints, one Fraction per denominator
+    utility = []
+    for row, values in zip(alloc, instance.utilities):
+        by_denominator: dict = {}
+        for p, u in zip(row, values):
+            if p and u:
+                d = p.denominator * u.denominator
+                by_denominator[d] = by_denominator.get(d, 0) + p.numerator * u.numerator
+        utility.append(sum((Fraction(v, d) for d, v in by_denominator.items()), ZERO))
+    return OutcomeReport(tuple(utility), tuple(tuple(row) for row in alloc), "dp")
 
 
 def exact_utility(ctx: QueryContext, agent: int) -> Fraction:

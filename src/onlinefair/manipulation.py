@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import (DEFAULT_ENUMERATION_BUDGET, BidProfile, BudgetExceeded,
-                   InputError, Instance, parse_rational)
+from .core import (DEFAULT_ENUMERATION_BUDGET, BudgetExceeded, InputError, Instance,
+                   parse_rational)
 from .arrivals import _plan
 from .engine import QueryContext, _positive_bidders, _step, exact_utility
 from .mechanisms import Mechanism, packed_sizes
@@ -29,47 +29,38 @@ DEFAULT_SEARCH_MAX_ITEMS = 12
 class ManipulationQuery(NamedTuple):
     """One agent deviates; everyone else bids sincerely.
 
-    ``sincere`` defaults to the agent's true utility row.  ``threshold`` is
-    the gain bar for necessary-manipulation queries.
+    ``sincere`` defaults to the agent's true utility row.  Bid entries may be
+    ints, Fractions or ``p/q`` strings.  ``threshold`` is the gain bar for
+    necessary-manipulation queries, and ``budget`` caps each evaluation's
+    states.
     """
 
     instance: Instance
     mechanism: Mechanism
     agent: int
-    deviation: tuple[Fraction, ...]
-    sincere: Optional[tuple[Fraction, ...]] = None
+    deviation: Sequence
+    sincere: Optional[Sequence] = None
     threshold: Fraction = ZERO
+    budget: int = DEFAULT_ENUMERATION_BUDGET
 
 
-def _checked_row(row: Sequence, m: int) -> tuple[Fraction, ...]:
-    values = tuple(parse_rational(x) for x in row)
-    if len(values) != m:
-        raise InputError(f"bid row has {len(values)} entries for {m} items")
-    for v in values:
-        if v < 0:
-            raise InputError(f"negative bid {v}")
-    return values
+def _utility_under_row(q: ManipulationQuery, row: tuple[Fraction, ...]) -> Fraction:
+    rows = q.instance.utilities
+    bids = rows[:q.agent] + (row,) + rows[q.agent + 1:]
+    return exact_utility(QueryContext(q.instance, q.mechanism, bids, budget=q.budget),
+                         q.agent)
 
 
-def _utility_under_row(instance: Instance, mechanism: Mechanism, agent: int,
-                       row: tuple[Fraction, ...], budget: int) -> Fraction:
-    bids = BidProfile.sincere(instance).with_row(agent, row)
-    return exact_utility(QueryContext(instance, mechanism, bids, budget=budget), agent)
-
-
-def utilities_under_deviation(q: ManipulationQuery,
-                              budget: int = DEFAULT_ENUMERATION_BUDGET,
-                              ) -> tuple[Fraction, Fraction]:
+def utilities_under_deviation(q: ManipulationQuery) -> tuple[Fraction, Fraction]:
     """(true expected utility bidding sincerely, same under the deviation)."""
-    m = q.instance.m
-    sincere_row = (q.instance.utilities[q.agent] if q.sincere is None
-                   else _checked_row(q.sincere, m))
-    deviation_row = _checked_row(q.deviation, m)
-    sincere_value = _utility_under_row(q.instance, q.mechanism, q.agent,
-                                       sincere_row, budget)
-    deviated_value = _utility_under_row(q.instance, q.mechanism, q.agent,
-                                        deviation_row, budget)
-    return sincere_value, deviated_value
+    if not 0 <= q.agent < q.instance.n:
+        raise InputError(f"agent {q.agent} outside 0..{q.instance.n - 1}")
+    sincere = q.instance.utilities[q.agent] if q.sincere is None else q.sincere
+    sincere, deviation = (tuple(map(parse_rational, row))
+                          for row in (sincere, q.deviation))
+    # the deviation first: the row a caller supplies fails before any work
+    deviated_value = _utility_under_row(q, deviation)
+    return _utility_under_row(q, sincere), deviated_value
 
 
 def exact_manipulation_gain(q: ManipulationQuery) -> Fraction:
@@ -107,6 +98,8 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     the agent's bit on it and its bidders' packed sizes.
     """
     n, m = instance.n, instance.m
+    if not 0 <= agent < n:
+        raise InputError(f"agent {agent} outside 0..{n - 1}")
     if max_items < 1:
         raise InputError(f"the item cap must be positive, not {max_items}")
     if m > max_items:

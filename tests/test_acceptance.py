@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 from onlinefair import (
-    BidProfile,
     FixedOrder,
     Instance,
     ManipulationQuery,
@@ -77,7 +76,7 @@ def test_01_like_outcomes_match_naive_oracle():
             oracle = naive_distribution_outcome
         bids = (tuple(tuple(F(rng.randint(0, 1)) for _ in range(inst.m))
                       for _ in range(n)) if trial % 3 == 0 else None)
-        ctx = QueryContext(inst, Mechanism.LIKE, bids and BidProfile(bids))
+        ctx = QueryContext(inst, Mechanism.LIKE, bids)
         report = outcome_report(ctx)
         utility, alloc = oracle(inst, Mechanism.LIKE, bids)
         ok = ok and report.method == "dp" \

@@ -110,6 +110,15 @@ class TestOutcome:
         assert code == 2 and out == ""
         assert "--item is not supported for necessary queries" in err
 
+    @pytest.mark.parametrize("query", [("exact",), ("exact", "--item", "2"),
+                                       ("possible",), ("possible", "--item", "2")])
+    def test_threshold_only_for_necessary(self, capsys, pair_instance, query):
+        code, out, err = run_cli(capsys, "outcome", pair_instance, "--query", *query,
+                                 "--mechanism", "like", "--agent", "1",
+                                 "--threshold", "9/2")
+        assert code == 2 and out == ""
+        assert f"--threshold is not supported for {query[0]} queries" in err
+
     def test_possible(self, capsys, witness_instance):
         out = run_json(capsys, "outcome", witness_instance, "--query",
                        "possible", "--mechanism", "balanced-like", "--agent", "1")
@@ -234,6 +243,17 @@ class TestManipulate:
                                mode, "--agent", "3", "--max-items", cap)
         assert code == 2
         assert "item cap must be positive" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "best-response", "strategyproof"])
+    @pytest.mark.parametrize("flags", [("--threshold", "5"), ("--strict",)])
+    def test_gain_flags_only_for_necessary(self, capsys, witness_instance, tmp_path,
+                                           mode, flags):
+        deviation = tmp_path / "dev.json"
+        deviation.write_text(json.dumps(["0", "1", "1"]))
+        code, out, err = run_cli(capsys, "manipulate", witness_instance, "--mode", mode,
+                                 "--agent", "3", "--deviation", str(deviation), *flags)
+        assert code == 2 and out == ""
+        assert "--threshold and --strict are only for --mode necessary" in err
 
     def test_missing_deviation_file(self, capsys, witness_instance):
         code, _, err = run_cli(capsys, "manipulate", witness_instance,
@@ -620,6 +640,8 @@ class TestStrictInputTypes:
     @pytest.mark.parametrize("deviation", [
         {"bids": "101"},                          # would iterate as [1, 0, 1]
         {"bids": ["1", "0", "1"], "sincere": "101"},
+        ["1", "0"],                               # one bid short
+        ["1", "-1", "0"],
     ])
     def test_deviation(self, capsys, witness_instance, tmp_path, deviation):
         path = tmp_path / "dev.json"

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from onlinefair import (
     DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
-    BidProfile,
     DimensionMismatch,
     Distribution,
     FixedOrder,
@@ -24,7 +23,6 @@ from onlinefair import (
     make_graph,
     instance_from_json_dict,
     instance_to_json_dict,
-    make_instance,
     parse_rational,
     validate_instance,
 )
@@ -63,7 +61,7 @@ def two_agent_instance(arrival):
 
 class TestValidation:
     def test_normalizes_string_utilities(self):
-        inst = make_instance(1, 2, [["1/2", 3]], FixedOrder((0, 1)))
+        inst = validate_instance(Instance(1, 2, [["1/2", 3]], FixedOrder((0, 1))))
         assert inst.utilities == ((F(1, 2), F(3)),)
 
     def test_rejects_bad_order(self):
@@ -132,8 +130,8 @@ class TestAllocationState:
 
 class TestJsonRoundTrip:
     def test_fixed_order(self):
-        inst = make_instance(2, 3, [[1, 0, "1/2"], [0, 1, 1]],
-                             FixedOrder((2, 0, 1)))
+        inst = validate_instance(Instance(2, 3, [[1, 0, "1/2"], [0, 1, 1]],
+                                          FixedOrder((2, 0, 1))))
         data = instance_to_json_dict(inst)
         assert data["arrival"] == {"type": "order", "order": [3, 1, 2]}
         again = instance_from_json_dict(data)
@@ -167,7 +165,6 @@ RECORDS = {
     "FixedOrder": ("order", lambda: FixedOrder((1, 0))),
     "Distribution": ("matrix", lambda: Distribution(((F(1, 2), F(1)), (F(1, 2), F(0))))),
     "Instance": ("arrival", lambda: two_agent_instance(FixedOrder((0, 1)))),
-    "BidProfile": ("bids", lambda: BidProfile(((F(1), F(0)), (F(2), F(1))))),
     "AllocationState": ("probability", lambda: AllocationState(
         (frozenset({1}), frozenset()), F(1, 2))),
     "OutcomeReport": ("method", lambda: OutcomeReport(
@@ -196,6 +193,7 @@ class TestRecords:
         query = ManipulationQuery(instance=inst, mechanism=Mechanism.LIKE,
                                   agent=1, deviation=(F(1), F(0)))
         assert query.sincere is None and query.threshold == 0
+        assert query.budget == DEFAULT_ENUMERATION_BUDGET
         assert Instance(n=2, m=2, utilities=inst.utilities,
                         arrival=inst.arrival) == inst
 
@@ -219,12 +217,3 @@ class TestRecords:
         assert start.counts == (0, 0, 0)
         state = AllocationState((frozenset({0, 2}), frozenset()), F(1))
         assert state.counts == (2, 0)
-
-    def test_bid_profile_sincere_and_with_row(self):
-        inst = two_agent_instance(FixedOrder((0, 1)))
-        sincere = BidProfile.sincere(inst)
-        assert sincere.bids == inst.utilities
-        changed = sincere.with_row(1, ["0", "1/2"])
-        assert changed.bids == (inst.utilities[0], (F(0), F(1, 2)))
-        assert sincere.bids == inst.utilities
-        assert changed.bids[1][1] > 0 and not changed.bids[1][0] > 0

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from onlinefair import (
     DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
-    BidProfile,
     BudgetExceeded,
     Distribution,
     FixedOrder,
@@ -165,7 +164,7 @@ class TestFixedOrderEnumeration:
     def test_honors_bid_profile_over_utilities(self):
         # bids decide feasibility; utilities only price the result
         inst = Instance(2, 1, ((F(5),), (F(1),)), FixedOrder((0,)))
-        bids = BidProfile(((F(0),), (F(1),)))
+        bids = ((F(0),), (F(1),))
         report = outcome_report(QueryContext(inst, Mechanism.LIKE, bids))
         assert report.expected_utility == (F(0), F(1))
 
@@ -248,7 +247,7 @@ class TestOwnerLevelViews:
     def test_final_states_price_to_the_kernel(self, case, mechanism):
         # under fixed orders and distributions alike
         inst, bids = case
-        ctx = QueryContext(inst, mechanism, BidProfile(bids))
+        ctx = QueryContext(inst, mechanism, bids)
         assert self.priced(states_after(ctx, inst.m)[0], inst) \
             == [list(r) for r in outcome_report(ctx).allocation_probability]
 
@@ -258,7 +257,7 @@ class TestOwnerLevelViews:
         # after d arrivals of a fixed order, each of the first d items is
         # held as the kernel says and no later item is held yet
         inst, bids = case
-        ctx = QueryContext(inst, mechanism, BidProfile(bids))
+        ctx = QueryContext(inst, mechanism, bids)
         kernel = outcome_report(ctx).allocation_probability
         for d in range(inst.m + 1):
             placed = set(inst.arrival.order[:d])
@@ -293,7 +292,7 @@ class TestOwnerLevelViews:
         arrived, bundles = random_prefix(random.Random(seed), inst)
         prefix = AllocationState(tuple(map(frozenset, bundles)), F(1, 3))
         for mechanism in Mechanism:
-            ctx = QueryContext(inst, mechanism, BidProfile(bids),
+            ctx = QueryContext(inst, mechanism, bids,
                                known_prefix=(arrived, prefix))
             for moments in range(inst.m - len(arrived) + 1):
                 states, void = states_after(ctx, moments)
@@ -325,7 +324,7 @@ class TestOwnerLevelViews:
             arrived, bundles = random_prefix(random.Random(seed), inst)
             known = (arrived, AllocationState(tuple(map(frozenset, bundles)), F(1)))
             start = len(arrived)
-        ctx = QueryContext(inst, mechanism, BidProfile(bids), known_prefix=known)
+        ctx = QueryContext(inst, mechanism, bids, known_prefix=known)
         for d in range(start, inst.m + 1):
             states, void = states_after(ctx, d - start)
             assert void == 0
@@ -370,7 +369,7 @@ class TestOwnerLevelStates:
         inst, bids, prefix = case
         known = prefix and (prefix[0],
                             AllocationState(tuple(map(frozenset, prefix[1])), F(1, 2)))
-        ctx = QueryContext(inst, mechanism, BidProfile(bids), known_prefix=known)
+        ctx = QueryContext(inst, mechanism, bids, known_prefix=known)
         for moments in range(inst.m - (len(prefix[0]) if prefix else 0) + 1):
             states, void = states_after(ctx, moments)
             expected, expected_void = naive_states_after(inst, mechanism, moments,
@@ -445,7 +444,7 @@ class TestLikeClosedForm:
         # item, so item k lands on each of its positive bidders with the
         # completion probability over their number
         inst, bids = case
-        report = outcome_report(QueryContext(inst, Mechanism.LIKE, BidProfile(bids)))
+        report = outcome_report(QueryContext(inst, Mechanism.LIKE, bids))
         factor, unit = _scaled_completion(_columns(inst.arrival),
                                           DEFAULT_ENUMERATION_BUDGET)
         complete = F(factor[0], unit)
@@ -630,7 +629,7 @@ class TestKernelMemo:
     @example(boundary_example(8, True), Mechanism.BALANCED_LIKE)
     def test_matches_naive_at_the_field_boundary(self, case, mechanism):
         inst, bids = case
-        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        report = outcome_report(QueryContext(inst, mechanism, bids))
         utility, alloc = naive_fixed_order_outcome(inst, mechanism, bids)
         assert report.expected_utility == tuple(utility)
         assert report.allocation_probability == tuple(map(tuple, alloc))
@@ -640,7 +639,7 @@ class TestKernelMemo:
            st.sampled_from(list(Mechanism)))
     def test_matches_naive_distributions(self, case, mechanism):
         inst, bids = case
-        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        report = outcome_report(QueryContext(inst, mechanism, bids))
         utility, alloc = naive_distribution_outcome(inst, mechanism, bids)
         assert report.expected_utility == tuple(utility)
         assert report.allocation_probability == tuple(map(tuple, alloc))
@@ -720,7 +719,7 @@ class TestDispatcher:
     @given(with_bids(fixed_instances(rational=True)), st.sampled_from(list(Mechanism)))
     def test_fixed_order_matches_naive_oracle(self, case, mechanism):
         inst, bids = case
-        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        report = outcome_report(QueryContext(inst, mechanism, bids))
         utility, alloc = naive_fixed_order_outcome(inst, mechanism, bids)
         assert list(report.expected_utility) == utility
         assert [list(r) for r in report.allocation_probability] == alloc
@@ -729,7 +728,7 @@ class TestDispatcher:
     @given(with_bids(distribution_instances()), st.sampled_from(list(Mechanism)))
     def test_distribution_matches_naive_oracle(self, case, mechanism):
         inst, bids = case
-        report = outcome_report(QueryContext(inst, mechanism, BidProfile(bids)))
+        report = outcome_report(QueryContext(inst, mechanism, bids))
         utility, alloc = naive_distribution_outcome(inst, mechanism, bids)
         assert list(report.expected_utility) == utility
         assert [list(r) for r in report.allocation_probability] == alloc
@@ -835,7 +834,7 @@ class TestPossibility:
             inst = random_fixed_instance(rng, rng.randint(1, 3), rng.randint(1, 4))
             bids = random_bids(rng, inst) if trial % 2 else None
             for mechanism in Mechanism:
-                ctx = QueryContext(inst, mechanism, bids and BidProfile(bids))
+                ctx = QueryContext(inst, mechanism, bids)
                 utility, alloc = naive_fixed_order_outcome(inst, mechanism, bids)
                 for agent in range(inst.n):
                     assert possible_utility(ctx, agent) == (utility[agent] > 0)
@@ -850,7 +849,7 @@ class TestPossibility:
                                                 rng.randint(1, 3))
             bids = random_bids(rng, inst) if trial % 2 else None
             for mechanism in Mechanism:
-                ctx = QueryContext(inst, mechanism, bids and BidProfile(bids))
+                ctx = QueryContext(inst, mechanism, bids)
                 utility, alloc = naive_distribution_outcome(inst, mechanism, bids)
                 for agent in range(inst.n):
                     assert possible_utility(ctx, agent) == (utility[agent] > 0)
@@ -879,7 +878,7 @@ class TestPossibility:
             arrived, bundles = random_prefix(rng, inst)
             state = AllocationState(tuple(frozenset(b) for b in bundles), F(1))
             for mechanism in Mechanism:
-                ctx = QueryContext(inst, mechanism, bids and BidProfile(bids),
+                ctx = QueryContext(inst, mechanism, bids,
                                    known_prefix=(arrived, state))
                 wins = naive_next_moment(inst, mechanism, arrived, bundles, bids)
                 held = {(i, k) for i, bundle in enumerate(bundles) for k in bundle}
@@ -904,7 +903,7 @@ class TestPossibility:
         # the agent values only the first item, but bids on both; the second
         # item must remain winnable
         inst = Instance(2, 2, ((F(1), F(0)), (F(1), F(1))), FixedOrder((0, 1)))
-        bids = BidProfile(((F(1), F(1)), (F(1), F(1))))
+        bids = ((F(1), F(1)), (F(1), F(1)))
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, bids)
         assert possible_item(ctx, 0, 1)
 

@@ -60,6 +60,8 @@ class TestExactGain:
         assert sincere == F(9, 8)
         assert deviated == F(5, 4)
         assert exact_manipulation_gain(q) == F(1, 8)
+        # entries are parsed like any rational input
+        assert exact_manipulation_gain(q._replace(deviation=["0", 1, "1/2"])) == F(1, 8)
 
     def test_dropping_every_bid_avoids_all_items(self):
         inst = pinned_witness()
@@ -88,6 +90,25 @@ class TestExactGain:
         with pytest.raises(InputError):
             exact_manipulation_gain(ManipulationQuery(
                 inst, Mechanism.LIKE, 0, (0.5, 1, 1)))
+
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_agent_out_of_range(self, agent):
+        # -1 must not answer for the last agent
+        inst = pinned_witness()
+        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, agent, (F(0), F(1), F(1)))
+        with pytest.raises(InputError, match=r"outside 0\.\.2"):
+            utilities_under_deviation(q)
+        with pytest.raises(InputError, match=r"outside 0\.\.2"):
+            best_response_search(inst, Mechanism.BALANCED_LIKE, agent)
+
+    def test_query_budget_bounds_every_entry_point(self):
+        q = ManipulationQuery(pinned_witness(), Mechanism.BALANCED_LIKE, 2,
+                              (F(0), F(1), F(1)), budget=1)
+        for query in (utilities_under_deviation, exact_manipulation_gain,
+                      necessary_manipulation):
+            with pytest.raises(BudgetExceeded):
+                query(q)
+        assert exact_manipulation_gain(q._replace(budget=3)) == F(1, 8)
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(min_value="1/7", max_value=9, max_denominator=11))
