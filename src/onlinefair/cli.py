@@ -264,7 +264,7 @@ def _run_manipulate(args) -> dict:
         instance, mechanism, agent,
         deviation=json_list(deviation_row, "deviation bids"),
         sincere=None if sincere_row is None else json_list(sincere_row, "sincere bids"),
-        threshold=parse_rational(args.threshold or 0),
+        threshold=parse_rational("0" if args.threshold is None else args.threshold),
         budget=budget,
     )
     sincere_value, deviated_value = utilities_under_deviation(query)

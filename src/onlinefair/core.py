@@ -183,6 +183,14 @@ def check_allocation_state(state: AllocationState, n: int, m: int) -> None:
         raise InputError(f"state probability {state.probability} outside (0, 1]")
 
 
+def check_indices(instance: Instance, agent: int, item: int | None = None) -> None:
+    """Raise InputError unless ``agent`` is in 0..n-1 and ``item``, when
+    given, in 0..m-1.  Indexing would read -1 as the last one."""
+    for index, size, what in ((agent, instance.n, "agent"), (item, instance.m, "item")):
+        if index is not None and not 0 <= index < size:
+            raise InputError(f"{what} {index} outside 0..{size - 1}")
+
+
 class OutcomeReport(NamedTuple):
     """Exact expected outcome: per-agent expected utility and the full
     agent-by-item allocation probability matrix.

@@ -35,10 +35,14 @@ become one ``Fraction`` per (agent, item), so every answer is still exact.
 The Monte Carlo sampler, the other loop, draws every uncertain column once
 per sample by bisecting its cumulative probabilities and each winner from
 raw random bits, consuming the generator exactly as ``randrange`` would, and
-reports each agent's standard error and the voided runs with its means.  It
-keeps a run's bundle sizes packed in one int and memoises feasible sets on
-the same keys, since every run revisits the same few.  Possibility is
-positivity of the exact answer, and necessity is a threshold on it.
+reports each agent's standard error and the voided runs with its means.
+Before the first run it builds one step per item (memo field, tag, item,
+credit column), and a run places the steps its columns landed on.  It keeps
+a run's bundle sizes packed in one int and memoises feasible sets on the
+same keys, since every run revisits the same few; under Like, where no
+feasible set reads a size, each item's is resolved once before the runs.
+Possibility is positivity of the exact answer, and necessity is a threshold
+on it.
 
 Distribution semantics: a run that draws an already-arrived item, or the
 no-arrival residual of a column, is void and contributes an empty allocation
@@ -69,6 +73,7 @@ from .core import (
     NegativeValue,
     OutcomeReport,
     check_allocation_state,
+    check_indices,
 )
 from .arrivals import _columns, _plan, _scaled_columns
 from .mechanisms import Mechanism, feasible_for_counts, packed_sizes
@@ -358,6 +363,7 @@ def outcome_report(ctx: QueryContext) -> OutcomeReport:
 
 def exact_utility(ctx: QueryContext, agent: int) -> Fraction:
     """The agent's exact expected utility in the context's setting."""
+    check_indices(ctx.instance, agent)
     if ctx.known_prefix is not None:
         return online_utilities(ctx)[agent]
     return outcome_report(ctx).expected_utility[agent]
@@ -385,6 +391,7 @@ def possible_item(ctx: QueryContext, agent: int, item: int) -> bool:
     queries: the agent holds the item already, or the item has not arrived
     and the agent wins it at the next moment with positive probability.
     """
+    check_indices(ctx.instance, agent, item)
     if ctx.known_prefix is None:
         return outcome_report(ctx).allocation_probability[agent][item] > 0
     state, successors = _next_moment(ctx)
@@ -401,6 +408,7 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     of each moment's smallest positive arrival entry times (1/n)^m bounds
     every positive branch from below.  A conservative bound, never zero.
     """
+    check_indices(ctx.instance, agent)
     if not any(agent in bidders for bidders in _positive_bidders(ctx)):
         raise NoPositiveBranch(f"agent {agent} bids positively on nothing")
     floors = [Fraction(min(a for _item, _bit, a in column), q)
@@ -443,13 +451,22 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     consumed, and the estimates and their squares summed, exactly as by a
     linear scan with ``randrange`` (``tests/helpers.py::naive_monte_carlo``).
 
+    Nothing that is the same in every run is redone in one.  Each item has
+    one step, built before the first run: its memo field and tag, the item
+    and its credit column.  A certain column's step is set once; a drawn
+    column puts the step of the item it landed on into the run's sequence.
     A run's bundle sizes are one packed int (``mechanisms.packed_sizes``).
-    An item's feasible set depends only on the item and its positive
-    bidders' sizes (only on the item under Like), so it is looked up in a
-    memo keyed on those; a miss unpacks the sizes and calls
-    ``feasible_for_counts``.  The memo takes at most ``ctx.budget`` entries,
-    and past that a miss is computed again each time, which is slower but
-    gives the same draws.
+    Under Balanced Like an item's feasible set depends only on the item and
+    its positive bidders' sizes, so it is looked up in a memo keyed on those
+    that holds (f, ``f.bit_length()``, the f feasible agents); a miss
+    unpacks the sizes and calls ``feasible_for_counts``.  The memo takes at
+    most ``ctx.budget`` entries, and past that a miss is computed again each
+    time, which is slower but gives the same draws.  Under Like no feasible
+    set reads a size, so each item's is resolved once, by the same call,
+    before the first run, and its step carries it: a placement there reads
+    no key and no memo, and adds Like's zero unit to the packed sizes.
+    None of this changes the draws or the float sums: a run's gains are
+    summed in item order and added to the totals agent by agent.
     """
     if samples < 1:
         raise InputError("samples must be positive")
@@ -457,40 +474,44 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     n = instance.n
     positive = _positive_bidders(ctx)
     columns = _columns(instance.arrival)
-    if ctx.known_prefix is None:
-        arrived, start_counts = (), (0,) * n
-        held = [0.0] * n
-        credit = [[float(u) for u in row] for row in instance.utilities]
-    else:
+    base, units, masks, tags = packed_sizes(mechanism, n, instance.m, positive)
+    arrived, start, held = (), 0, [0.0] * n
+    credit = [list(map(float, column)) for column in zip(*instance.utilities)]
+    if ctx.known_prefix is not None:
         arrived, state = _checked_prefix(ctx)
-        start_counts = state.counts
+        start = sum(map(mul, state.counts, units))
         columns = columns[len(arrived):len(arrived) + 1]
         held = [float(state.utility_of(i, instance.utilities)) for i in range(n)]
-        credit = [[1.0] * instance.m for _ in range(n)]
+        credit = [[1.0] * n] * instance.m
     if not columns:  # nothing left to draw, so every run adds nothing
         return MonteCarloEstimate(held, [0.0] * n, 0)
     if samples > ctx.budget:
         raise BudgetExceeded(f"{samples} samples exceed the budget {ctx.budget}")
-    # A certain column whose item is fresh takes no draw: its item is set in
-    # ``sequence`` once, and a draw landing on it voids the run.  A drawn
-    # column keeps its cumulative probabilities and its items, plus -1 for
-    # the no-arrival residual past the last cumulative sum.
+
+    def resolve(packed, item):
+        """Item's memo entry at these sizes: (f, f.bit_length(), f feasible agents)."""
+        feas = feasible_for_counts(
+            mechanism, [packed // unit % base for unit in units if unit], positive[item])
+        return len(feas), len(feas).bit_length(), feas
+    # One step per item: its entry resolved once under Like, which reads no
+    # size (else None), its memo field and tag, the item, its credit column.
+    steps = [(resolve(0, item) if mechanism is Mechanism.LIKE else None, masks[item],
+              tags[item], item, credit[item]) for item in range(instance.m)]
+    # A certain column with a fresh item takes no draw: its step is set once.  A
+    # drawn column keeps its cumulative probabilities and items, -1 the residual.
     fixed_mask = sum(1 << item for item in arrived)
-    sequence = [-1] * len(columns)
+    sequence = [None] * len(columns)
     draws = []
     for moment, (q, column) in enumerate(columns):
         if len(column) == 1 and column[0][2] == q and not fixed_mask & column[0][1]:
             fixed_mask |= column[0][1]
-            sequence[moment] = column[0][0]
+            sequence[moment] = steps[column[0][0]]
         else:
             draws.append((moment, list(accumulate(a / q for _item, _bit, a in column)),
                           [item for item, _bit, _a in column] + [-1]))
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
-    widths = [f.bit_length() for f in range(n + 1)]
-    base, units, masks, tags = packed_sizes(mechanism, n, instance.m, positive)
-    start, memo = sum(map(mul, start_counts, units)), {}
-    totals, squares, voided = [0.0] * n, [0.0] * n, 0
+    memo, totals, squares, voided = {}, [0.0] * n, [0.0] * n, 0
     for _ in range(samples):
         mask = fixed_mask
         for moment, cumulative, items in draws:
@@ -499,30 +520,26 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
                 voided += 1
                 break
             mask |= 1 << landed
-            sequence[moment] = landed
+            sequence[moment] = steps[landed]
         else:
             packed, gains = start, [0.0] * n
-            for item in sequence:
-                key = packed & masks[item] | tags[item]
-                feas = memo.get(key)
-                if feas is None:
-                    feas = feasible_for_counts(
-                        mechanism, [packed // unit % base for unit in units if unit],
-                        positive[item])
-                    if len(memo) < ctx.budget:
-                        memo[key] = feas
-                f = len(feas)
-                if not f:
-                    continue
-                r = 0
-                if f > 1:
-                    k = widths[f]
-                    r = bits(k)
+            for hit, field, tag, item, column in sequence:
+                if hit is None:
+                    key = packed & field | tag
+                    try:
+                        hit = memo[key]
+                    except KeyError:
+                        hit = resolve(packed, item)
+                        if len(memo) < ctx.budget:
+                            memo[key] = hit
+                f, k, feas = hit
+                if f:
+                    r = bits(k) if f > 1 else 0
                     while r >= f:
                         r = bits(k)
-                winner = feas[r]
-                packed += units[winner]
-                gains[winner] += credit[winner][item]
+                    winner = feas[r]
+                    packed += units[winner]
+                    gains[winner] += column[winner]
             totals = list(map(add, totals, gains))
             squares = list(map(add, squares, map(mul, gains, gains)))
     means = [total / samples for total in totals]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (DEFAULT_ENUMERATION_BUDGET, BudgetExceeded, InputError, Instance,
-                   parse_rational)
+                   check_indices, parse_rational)
 from .arrivals import _plan
 from .engine import QueryContext, _positive_bidders, _step, exact_utility
 from .mechanisms import Mechanism, packed_sizes
@@ -53,8 +53,7 @@ def _utility_under_row(q: ManipulationQuery, row: tuple[Fraction, ...]) -> Fract
 
 def utilities_under_deviation(q: ManipulationQuery) -> tuple[Fraction, Fraction]:
     """(true expected utility bidding sincerely, same under the deviation)."""
-    if not 0 <= q.agent < q.instance.n:
-        raise InputError(f"agent {q.agent} outside 0..{q.instance.n - 1}")
+    check_indices(q.instance, q.agent)
     sincere = q.instance.utilities[q.agent] if q.sincere is None else q.sincere
     sincere, deviation = (tuple(map(parse_rational, row))
                           for row in (sincere, q.deviation))
@@ -98,8 +97,7 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     the agent's bit on it and its bidders' packed sizes.
     """
     n, m = instance.n, instance.m
-    if not 0 <= agent < n:
-        raise InputError(f"agent {agent} outside 0..{n - 1}")
+    check_indices(instance, agent)
     if max_items < 1:
         raise InputError(f"the item cap must be positive, not {max_items}")
     if m > max_items:

@@ -222,6 +222,18 @@ class TestManipulate:
                        str(deviation), "--threshold", "1/8", "--strict")
         assert out["answer"] is False
 
+    def test_empty_threshold_rejected(self, capsys, witness_instance, tmp_path):
+        # an empty --threshold is no rational, here as for outcome --query necessary
+        deviation = tmp_path / "dev.json"
+        deviation.write_text(json.dumps(["0", "1", "1"]))
+        for argv in (("manipulate", witness_instance, "--mode", "necessary",
+                      "--deviation", str(deviation)),
+                     ("outcome", witness_instance, "--query", "necessary",
+                      "--mechanism", "balanced-like")):
+            code, out, err = run_cli(capsys, *argv, "--agent", "3", "--threshold", "")
+            assert code == 2 and out == ""
+            assert "not an exact rational literal: ''" in err
+
     def test_best_response(self, capsys, witness_instance):
         out = run_json(capsys, "manipulate", witness_instance, "--mode",
                        "best-response", "--agent", "3")
@@ -929,12 +941,15 @@ class TestTraceHarness:
             assert sum(calls for name, _parent, calls, _seconds in trace["leaves"]
                        if name == "mechanisms.feasible_for_counts") > 0
 
-    def test_traced_sample_counts_feasible_sets(self, pair_instance, tmp_path):
+    @pytest.mark.parametrize("mechanism", ["like", "balanced-like"])
+    def test_traced_sample_counts_feasible_sets(self, pair_instance, tmp_path,
+                                                mechanism):
         # the sampler computes feasible sets through the engine's module
-        # global, where the harness counts them
+        # global, where the harness counts them; Like's, resolved before the
+        # first run, too
         spans = tmp_path / "spans.json"
         result = run_python(str(TRACE_ENTRY), str(spans), "q", "--", "sample",
-                            pair_instance, "--mechanism", "balanced-like",
+                            pair_instance, "--mechanism", mechanism,
                             "--samples", "100", "--seed", "1")
         assert result.returncode == 0, result.stderr
         trace = json.loads(spans.read_text())

@@ -733,6 +733,24 @@ class TestDispatcher:
         assert list(report.expected_utility) == utility
         assert [list(r) for r in report.allocation_probability] == alloc
 
+    @pytest.mark.parametrize("online", [False, True])
+    def test_indices_out_of_range(self, online):
+        # -1 must not answer for the last agent or item, and n or m is refused too
+        utilities = ((F(0), F(1), F(0)), (F(1), F(0), F(1)), (F(1), F(1), F(1)))
+        inst = Instance(3, 3, utilities, FixedOrder((0, 1, 2)))
+        state = AllocationState((frozenset(), frozenset({0}), frozenset()), F(1))
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE,
+                           known_prefix=((0,), state) if online else None)
+        for bad in (-1, 3):
+            for query in (exact_utility, possible_utility, epsilon_bound,
+                          lambda ctx, agent: possible_item(ctx, agent, 0)):
+                with pytest.raises(InputError, match=rf"agent {bad} outside 0\.\.2"):
+                    query(ctx, bad)
+            with pytest.raises(InputError, match=rf"item {bad} outside 0\.\.2"):
+                possible_item(ctx, 0, bad)
+        if not online:
+            assert exact_utility(ctx, 2) == F(9, 8)
+
     def test_necessary_is_threshold_on_exact(self):
         inst = all_ones(2, 2, FixedOrder((0, 1)))
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
@@ -1030,6 +1048,16 @@ class TestMonteCarlo:
            st.sampled_from(list(Mechanism)), st.integers(1, 40),
            st.integers(0, 2**32), st.booleans())
     @example(all_ones(3, 3, FixedOrder((0, 1, 2))), Mechanism.LIKE, 50, 7, False)
+    # nobody bids on item 1: Like resolves its empty feasible set before the runs
+    @example(Instance(2, 3, ((F(1), F(0), F(2)), (F(1), F(0), F(0))), FixedOrder((1, 0, 2))),
+             Mechanism.LIKE, 60, 5, False)
+    # items 0 and 2 have one bidder each, looked up in the memo at every size
+    @example(Instance(3, 3, ((F(1), F(1), F(0)), (F(0), F(1), F(1)), (F(0), F(1), F(0))),
+                      FixedOrder((0, 2, 1))), Mechanism.BALANCED_LIKE, 60, 9, False)
+    # seed 1 knows item 0 arrived, held by agent 1; a column voids with mass 1/5
+    @example(Instance(3, 4, ((F(1), F(0), F(2), F(1)), (F(1), F(1), F(0), F(1)),
+                             (F(0), F(1), F(1), F(1))),
+                      Distribution(((F(1, 5),) * 4,) * 4)), Mechanism.LIKE, 80, 1, True)
     def test_matches_naive_sampler(self, inst, mechanism, samples, seed, online):
         # same draws, same floats: distribution columns with a no-arrival
         # residual or an item that can arrive twice, known prefixes, and ties
@@ -1054,6 +1082,20 @@ class TestMonteCarlo:
         result = monte_carlo_estimate(ctx, 200, 3)
         assert result == naive_monte_carlo(inst, Mechanism.BALANCED_LIKE, 200, 3)
         assert result.estimates[1] == m - contested
+
+    @pytest.mark.parametrize("inst", [
+        reduction2_instance(complete_bipartite(3, 3)),
+        Instance(3, 4, ((F(1), F(0), F(2), F(1)), (F(1), F(1), F(0), F(1)), (F(0),) * 4),
+                 Distribution(((F(1, 5),) * 4,) * 4))])
+    def test_like_resolves_each_item_once(self, monkeypatch, inst):
+        # under Like no feasible set reads a bundle size, so each item's is
+        # resolved before the first run, however many runs follow
+        calls = count_feasible_calls(monkeypatch)
+        for samples in (1, 3000):
+            calls.clear()
+            result = monte_carlo_estimate(QueryContext(inst, Mechanism.LIKE), samples, 4)
+            assert result == naive_monte_carlo(inst, Mechanism.LIKE, samples, 4)
+            assert len(calls) <= inst.m
 
     def test_memo_computes_each_feasible_set_once(self, monkeypatch):
         # every run of the K33 gadget meets the same few (item, bidder sizes)
