@@ -7,9 +7,9 @@ Subcommands: ``outcome`` (exact / necessary / possible queries), ``manipulate``
 Conventions: agent and item indices are 1-based on the command line and in
 all JSON files; rationals are "p/q" strings (floats are rejected); reports
 go to standard output as deterministically ordered JSON.  Exit codes: 0 on
-success, 2 for invalid input, 3 when an exact computation exceeds the
-enumeration budget (override with the ONLINEFAIR_BUDGET environment
-variable).
+success, 1 when the report cannot be written, 2 for invalid input, 3 when
+an exact computation exceeds the enumeration budget (override with the
+ONLINEFAIR_BUDGET environment variable).
 """
 
 from __future__ import annotations
@@ -120,11 +120,12 @@ def _load_prefix(data: dict, n: int, m: int) -> tuple[tuple[int, ...], Allocatio
     raw_bundles = json_list(raw_bundles, "bundles")
     if len(raw_bundles) != n:
         raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
-    bundles = tuple(frozenset(_item_index(json_int(k, "bundle item"), m)
-                              for k in json_list(bundle, "bundle"))
-                    for bundle in raw_bundles)
+    bundles = [[_item_index(json_int(k, "bundle item"), m)
+                for k in json_list(bundle, "bundle")] for bundle in raw_bundles]
+    if any(len(set(bundle)) < len(bundle) for bundle in bundles):
+        raise InputError("a prefix bundle lists an item twice")
     probability = parse_rational(data.get("probability", 1))
-    return arrived, AllocationState(bundles, probability)
+    return arrived, AllocationState(tuple(map(frozenset, bundles)), probability)
 
 
 def _agent_index(value: int, n: int) -> int:
@@ -229,6 +230,10 @@ def _run_outcome(args) -> dict:
 def _run_manipulate(args) -> dict:
     if args.mode != "necessary" and (args.threshold is not None or args.strict):
         raise InputError("--threshold and --strict are only for --mode necessary")
+    if args.deviation is not None and args.mode not in ("exact", "necessary"):
+        raise InputError("--deviation is only for --mode exact and necessary")
+    if args.agent is not None and args.mode == "strategyproof":
+        raise InputError("--agent is not supported for --mode strategyproof")
     instance = _load_instance(args.instance)
     mechanism = Mechanism.from_string(args.mechanism)
     budget = _budget()
@@ -465,5 +470,35 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The ``onlinefair`` script and ``python -m onlinefair.cli``: run
+    :func:`main` on ``sys.argv[1:]``, flush stdout and stderr, and end the
+    process with ``os._exit(status)``.
+
+    ``os._exit`` skips interpreter teardown, which only frees the loaded
+    modules one by one, about 10 ms of every call.  That is safe because a
+    CLI call registers no atexit handler, starts no thread or child process,
+    and writes only to stdout and stderr, both flushed here; input files are
+    read and closed in ``with`` blocks.  An unwritable stdout (a full device,
+    a closed pipe) ends in one ``error: cannot write the report`` line and
+    status 1.  argparse's own exits (``--help``, usage errors) raise
+    ``SystemExit`` and end the process the normal way.  In-process callers
+    use ``main(argv)``, which returns its status and never ends the process.
+    """
+    try:
+        status = main(sys.argv[1:])
+        for stream in sys.stdout, sys.stderr:
+            if stream is not None:  # None: its descriptor was closed at start
+                stream.flush()
+    except OSError as exc:
+        status = 1
+        try:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr,
+                  flush=True)
+        except OSError:
+            pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,13 +22,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv, timeout=30):
+def run_python(*argv, timeout=30, stdout=subprocess.PIPE, env=None):
     """Run a fresh interpreter on the package sources, under the default
-    budget."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("ONLINEFAIR_BUDGET", None)
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+    budget; ``env`` sets variables, and a value of None unsets one."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "ONLINEFAIR_BUDGET": None,
+           **(env or {})}
+    return subprocess.run([sys.executable, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout,
+                          env={k: v for k, v in env.items() if v is not None})
 
 
 def run_json(capsys, *argv):
@@ -185,6 +186,19 @@ class TestOutcome:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("command", [
+        ("outcome", "--query", "exact", "--agent", "1"),
+        ("sample", "--samples", "200", "--seed", "4"),
+    ])
+    def test_prefix_bundle_lists_each_item_once(self, capsys, pair_instance,
+                                                tmp_path, command):
+        path = tmp_path / "prefix.json"
+        path.write_text(json.dumps({"arrived": [1, 2], "bundles": [[1, 1], [2]]}))
+        code, out, err = run_cli(capsys, command[0], pair_instance, *command[1:],
+                                 "--mechanism", "like", "--prefix", str(path))
+        assert code == 2 and out == ""
+        assert "a prefix bundle lists an item twice" in err
+
     def test_agent_out_of_range(self, capsys, pair_instance):
         code, _, err = run_cli(capsys, "outcome", pair_instance, "--query",
                                "exact", "--mechanism", "like", "--agent", "3")
@@ -251,8 +265,9 @@ class TestManipulate:
     @pytest.mark.parametrize("mode", ["best-response", "strategyproof"])
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_non_positive_item_cap(self, capsys, witness_instance, mode, cap):
+        agent = ("--agent", "3") if mode == "best-response" else ()
         code, _, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
-                               mode, "--agent", "3", "--max-items", cap)
+                               mode, *agent, "--max-items", cap)
         assert code == 2
         assert "item cap must be positive" in err
 
@@ -266,6 +281,25 @@ class TestManipulate:
                                  "--agent", "3", "--deviation", str(deviation), *flags)
         assert code == 2 and out == ""
         assert "--threshold and --strict are only for --mode necessary" in err
+
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("best-response", ("--agent", "1", "--deviation", "DEV"),
+         "--deviation is only for --mode exact and necessary"),
+        ("strategyproof", ("--deviation", "DEV"),
+         "--deviation is only for --mode exact and necessary"),
+        ("strategyproof", ("--agent", "2"),
+         "--agent is not supported for --mode strategyproof"),
+    ], ids=["best-response --deviation", "strategyproof --deviation",
+            "strategyproof --agent"])
+    def test_agent_and_deviation_only_where_read(self, capsys, witness_instance,
+                                                 tmp_path, mode, flags, message):
+        deviation = tmp_path / "dev.json"
+        deviation.write_text(json.dumps(["0", "1", "1"]))
+        flags = [str(deviation) if flag == "DEV" else flag for flag in flags]
+        code, out, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
+                                 mode, *flags)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_missing_deviation_file(self, capsys, witness_instance):
         code, _, err = run_cli(capsys, "manipulate", witness_instance,
@@ -531,8 +565,10 @@ class TestExitCodes:
         deviation = tmp_path / "dev.json"
         deviation.write_text(json.dumps(["0", "1", "1"]))
         monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
+        flags = {"best-response": ["--agent", "3"], "strategyproof": [],
+                 "exact": ["--agent", "3", "--deviation", str(deviation)]}[mode]
         got, _, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
-                              mode, "--agent", "3", "--deviation", str(deviation))
+                              mode, *flags)
         assert got == code
         assert ("of 3 (budget 1)" if code == 3 else "ONLINEFAIR_BUDGET") in err
 
@@ -913,6 +949,70 @@ class TestStartup:
         cli = set(run_python("-c", calls + show).stderr.split())
         assert "onlinefair.cli" in cli
         assert not {"dataclasses", "inspect"} & (cli - bare)
+
+
+def launch(argv, unbuffered, stdout=subprocess.PIPE, budget=None):
+    """Run ``python -m onlinefair.cli`` with ``PYTHONUNBUFFERED`` set or
+    unset, under ``budget`` (the default if None)."""
+    return run_python("-m", "onlinefair.cli", *argv, stdout=stdout,
+                      env={"PYTHONUNBUFFERED": "1" if unbuffered else None,
+                           "ONLINEFAIR_BUDGET": budget})
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False],
+                                    ids=["unbuffered", "buffered"])
+
+
+class TestLauncher:
+    """``cli.run`` ends the process with ``os._exit`` after flushing, so a
+    launched call must print and exit exactly as ``main`` returns; a missing
+    flush loses buffered output."""
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv, budget, code", [
+        (("PAIR", "--mechanism", "like", "--agent", "1"), None, 0),
+        (("PAIR", "--mechanism", "like", "--agent", "3"), None, 2),
+        (("WITNESS", "--mechanism", "balanced-like", "--agent", "1"), "1", 3),
+    ], ids=["exit 0", "exit 2", "exit 3"])
+    def test_same_as_main(self, capsys, monkeypatch, pair_instance,
+                          witness_instance, unbuffered, argv, budget, code):
+        files = {"PAIR": pair_instance, "WITNESS": witness_instance}
+        argv = ["outcome", "--query", "exact", *(files.get(a, a) for a in argv)]
+        if budget is None:
+            monkeypatch.delenv("ONLINEFAIR_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code
+        result = launch(argv, unbuffered, budget=budget)
+        assert (result.returncode, result.stdout, result.stderr) == expected
+
+    @BUFFERING
+    @pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+    def test_unwritable_stdout(self, unbuffered, target):
+        if target == "closed pipe":
+            read, fd = os.pipe()
+            os.close(read)  # no reader: every write fails with EPIPE
+        elif os.path.exists(target):
+            fd = os.open(target, os.O_WRONLY)
+        else:
+            pytest.skip(f"no {target}")
+        try:
+            result = launch(["oracle", "--kind", "count-pm", "--graph-name", "k33"],
+                            unbuffered, stdout=fd)
+        finally:
+            os.close(fd)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: cannot write the report: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_script_is_the_launcher(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"onlinefair": "onlinefair.cli:run"}
+        assert callable(cli.run)
 
 
 class TestTraceHarness:
