@@ -72,7 +72,6 @@ from .generators import (
     subset_sum_bc,
 )
 from .manipulation import (
-    ManipulationQuery,
     best_response_search,
     exact_manipulation_gain,
     is_strategyproof_on_instance,

@@ -60,7 +60,6 @@ from .generators import (
 )
 from .manipulation import (
     DEFAULT_SEARCH_MAX_ITEMS,
-    ManipulationQuery,
     best_response_search,
     exact_manipulation_gain,
     is_strategyproof_on_instance,
@@ -122,8 +121,10 @@ def _load_prefix(data: dict, n: int, m: int) -> tuple[tuple[int, ...], Allocatio
         raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
     bundles = [[_item_index(json_int(k, "bundle item"), m)
                 for k in json_list(bundle, "bundle")] for bundle in raw_bundles]
-    if any(len(set(bundle)) < len(bundle) for bundle in bundles):
-        raise InputError("a prefix bundle lists an item twice")
+    held = sorted(k for bundle in bundles for k in bundle)
+    for k, after in zip(held, held[1:]):
+        if k == after:
+            raise InputError(f"the prefix bundles list item {k + 1} twice")
     probability = parse_rational(data.get("probability", 1))
     return arrived, AllocationState(tuple(map(frozenset, bundles)), probability)
 
@@ -234,53 +235,40 @@ def _run_manipulate(args) -> dict:
         raise InputError("--deviation is only for --mode exact and necessary")
     if args.agent is not None and args.mode == "strategyproof":
         raise InputError("--agent is not supported for --mode strategyproof")
-    instance = _load_instance(args.instance)
-    mechanism = Mechanism.from_string(args.mechanism)
-    budget = _budget()
-    out = {"mode": args.mode, "mechanism": mechanism.value}
+    ctx = _context(args)
+    out = {"mode": args.mode, "mechanism": ctx.mechanism.value}
     if args.mode == "strategyproof":
-        out["answer"] = is_strategyproof_on_instance(instance, mechanism,
-                                                     args.max_items, budget)
+        out["answer"] = is_strategyproof_on_instance(ctx, args.max_items)
         return out
     if args.agent is None:
         raise InputError(f"--agent is required for mode {args.mode!r}")
-    agent = _agent_index(args.agent, instance.n)
+    agent = _agent_index(args.agent, ctx.instance.n)
     out["agent"] = args.agent
     if args.mode == "best-response":
-        row, gain = best_response_search(instance, mechanism, agent,
-                                         args.max_items, budget)
+        row, gain = best_response_search(ctx, agent, args.max_items)
         out["best_response_row"] = [format_rational(x) for x in row]
         out["gain"] = format_rational(gain)
         return out
     if not args.deviation:
         raise InputError(f"--deviation FILE is required for mode {args.mode!r}")
+    threshold = parse_rational("0" if args.threshold is None else args.threshold)
     data = _load_json(args.deviation)
-    if isinstance(data, dict):
-        try:
-            deviation_row = data["bids"]
-        except KeyError as exc:
-            raise InputError(
-                "deviation file must be a list of rationals or "
-                "{\"bids\": [...]}") from exc
-        sincere_row = data.get("sincere")
-    else:
-        deviation_row, sincere_row = data, None
-    query = ManipulationQuery(
-        instance, mechanism, agent,
-        deviation=json_list(deviation_row, "deviation bids"),
-        sincere=None if sincere_row is None else json_list(sincere_row, "sincere bids"),
-        threshold=parse_rational("0" if args.threshold is None else args.threshold),
-        budget=budget,
-    )
-    sincere_value, deviated_value = utilities_under_deviation(query)
+    if not isinstance(data, dict):
+        data = {"bids": data}
+    if "bids" not in data:
+        raise InputError('deviation file must be a list of rationals or {"bids": [...]}')
+    sincere = data.get("sincere")
+    sincere_value, deviated_value = utilities_under_deviation(
+        ctx, agent, json_list(data["bids"], "deviation bids"),
+        None if sincere is None else json_list(sincere, "sincere bids"))
     gain = deviated_value - sincere_value
     out["sincere_utility"] = format_rational(sincere_value)
     out["deviated_utility"] = format_rational(deviated_value)
     out["gain"] = format_rational(gain)
     if args.mode == "necessary":
-        out["threshold"] = format_rational(query.threshold)
+        out["threshold"] = format_rational(threshold)
         out["strict"] = bool(args.strict)
-        out["answer"] = gain > query.threshold if args.strict else gain >= query.threshold
+        out["answer"] = gain > threshold if args.strict else gain >= threshold
     return out
 
 
@@ -481,12 +469,19 @@ def run() -> None:
     and writes only to stdout and stderr, both flushed here; input files are
     read and closed in ``with`` blocks.  An unwritable stdout (a full device,
     a closed pipe) ends in one ``error: cannot write the report`` line and
-    status 1.  argparse's own exits (``--help``, usage errors) raise
-    ``SystemExit`` and end the process the normal way.  In-process callers
-    use ``main(argv)``, which returns its status and never ends the process.
+    status 1, and so does a report with nowhere to go because stdout was
+    closed at start.  argparse's own exits (``--help``, usage errors) raise
+    ``SystemExit`` from ``main``; its code is the status, and the same flush
+    follows.  In-process callers use ``main(argv)``, which returns its
+    status and never ends the process.
     """
     try:
-        status = main(sys.argv[1:])
+        try:
+            status = main(sys.argv[1:])
+        except SystemExit as exc:
+            status = exc.code
+        if status == 0 and sys.stdout is None:
+            raise OSError("stdout is closed")
         for stream in sys.stdout, sys.stderr:
             if stream is not None:  # None: its descriptor was closed at start
                 stream.flush()

@@ -6,19 +6,21 @@ search space of meaningfully distinct deviations is the 2^m set of 0/1 rows,
 which keeps exhaustive best-response search exact at desk scale.  The search
 shares count-state frontiers between rows along a trie of the agent's bits:
 under a fixed ordering, about 2^(m+1) moment steps in all instead of m * 2^m.
+Every entry point takes a ``QueryContext`` first and varies one agent's row
+against the other agents' ``ctx.bids``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import (DEFAULT_ENUMERATION_BUDGET, BudgetExceeded, InputError, Instance,
-                   check_indices, parse_rational)
+from .core import BudgetExceeded, InputError, check_indices, parse_rational
 from .arrivals import _plan
-from .engine import QueryContext, _positive_bidders, _step, exact_utility
-from .mechanisms import Mechanism, packed_sizes
+from .engine import (QueryContext, UnsupportedQuery, _positive_bidders, _step,
+                     exact_utility)
+from .mechanisms import packed_sizes
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,67 +28,60 @@ ONE = Fraction(1)
 DEFAULT_SEARCH_MAX_ITEMS = 12
 
 
-class ManipulationQuery(NamedTuple):
-    """One agent deviates; everyone else bids sincerely.
+def _utility_under_row(ctx: QueryContext, agent: int, row) -> Fraction:
+    rows = ctx.instance.utilities if ctx.bids is None else ctx.bids
+    bids = (*rows[:agent], row, *rows[agent + 1:])
+    return exact_utility(ctx._replace(bids=bids), agent)
 
-    ``sincere`` defaults to the agent's true utility row.  Bid entries may be
-    ints, Fractions or ``p/q`` strings.  ``threshold`` is the gain bar for
-    necessary-manipulation queries, and ``budget`` caps each evaluation's
-    states.
+
+def utilities_under_deviation(ctx: QueryContext, agent: int, deviation: Sequence,
+                              sincere: Optional[Sequence] = None,
+                              ) -> tuple[Fraction, Fraction]:
+    """(true expected utility bidding ``sincere``, same under ``deviation``).
+
+    The other agents bid ``ctx.bids`` (sincerely when None), and both values
+    are the context's own ``exact_utility``, known prefix and budget
+    included.  ``sincere`` defaults to the agent's true utility row.  Bid
+    entries may be ints, Fractions or ``p/q`` strings.
     """
-
-    instance: Instance
-    mechanism: Mechanism
-    agent: int
-    deviation: Sequence
-    sincere: Optional[Sequence] = None
-    threshold: Fraction = ZERO
-    budget: int = DEFAULT_ENUMERATION_BUDGET
-
-
-def _utility_under_row(q: ManipulationQuery, row: tuple[Fraction, ...]) -> Fraction:
-    rows = q.instance.utilities
-    bids = rows[:q.agent] + (row,) + rows[q.agent + 1:]
-    return exact_utility(QueryContext(q.instance, q.mechanism, bids, budget=q.budget),
-                         q.agent)
-
-
-def utilities_under_deviation(q: ManipulationQuery) -> tuple[Fraction, Fraction]:
-    """(true expected utility bidding sincerely, same under the deviation)."""
-    check_indices(q.instance, q.agent)
-    sincere = q.instance.utilities[q.agent] if q.sincere is None else q.sincere
+    check_indices(ctx.instance, agent)
+    sincere = ctx.instance.utilities[agent] if sincere is None else sincere
     sincere, deviation = (tuple(map(parse_rational, row))
-                          for row in (sincere, q.deviation))
+                          for row in (sincere, deviation))
     # the deviation first: the row a caller supplies fails before any work
-    deviated_value = _utility_under_row(q, deviation)
-    return _utility_under_row(q, sincere), deviated_value
+    deviated_value = _utility_under_row(ctx, agent, deviation)
+    return _utility_under_row(ctx, agent, sincere), deviated_value
 
 
-def exact_manipulation_gain(q: ManipulationQuery) -> Fraction:
+def exact_manipulation_gain(ctx: QueryContext, agent: int, deviation: Sequence,
+                            sincere: Optional[Sequence] = None) -> Fraction:
     """The agent's exact change in true expected utility from deviating."""
-    sincere_value, deviated_value = utilities_under_deviation(q)
-    return deviated_value - sincere_value
+    before, after = utilities_under_deviation(ctx, agent, deviation, sincere)
+    return after - before
 
 
-def necessary_manipulation(q: ManipulationQuery, strict: bool = False) -> bool:
-    """Is the deviation's gain at least the query threshold?
+def necessary_manipulation(ctx: QueryContext, agent: int, deviation: Sequence,
+                           threshold: Fraction = ZERO, strict: bool = False,
+                           sincere: Optional[Sequence] = None) -> bool:
+    """Is the deviation's gain at least ``threshold``?
 
     ``strict`` asks for a strictly positive margin instead, which with
     threshold 0 is the "can the agent possibly profit" question.
     """
-    gain = exact_manipulation_gain(q)
-    return gain > q.threshold if strict else gain >= q.threshold
+    gain = exact_manipulation_gain(ctx, agent, deviation, sincere)
+    return gain > threshold if strict else gain >= threshold
 
 
-def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
+def best_response_search(ctx: QueryContext, agent: int,
                          max_items: int = DEFAULT_SEARCH_MAX_ITEMS,
-                         budget: int = DEFAULT_ENUMERATION_BUDGET,
                          ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exhaustively search 0/1 bid rows for the agent's best response.
+    """Exhaustively search 0/1 bid rows for the agent's best response, the
+    other agents bidding ``ctx.bids`` (sincerely when None).
 
     Returns (row, gain over sincere).  Ties break toward the sincere row,
     then toward the lexicographically smallest 0/1 row.  Refuses more than
-    ``max_items`` items; raises BudgetExceeded past ``budget`` states.
+    ``max_items`` items and a known prefix (the search starts from the empty
+    allocation); raises BudgetExceeded past ``ctx.budget`` states.
 
     The rows are the leaves of a trie over the agent's bits, taken in the
     order the arrival columns first need their items.  A node steps each
@@ -96,8 +91,11 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     one feasibility memo of at most ``budget`` entries, keyed on the item,
     the agent's bit on it and its bidders' packed sizes.
     """
+    instance, mechanism, budget = ctx.instance, ctx.mechanism, ctx.budget
     n, m = instance.n, instance.m
     check_indices(instance, agent)
+    if ctx.known_prefix is not None:
+        raise UnsupportedQuery("best-response search starts from the empty allocation")
     if max_items < 1:
         raise InputError(f"the item cap must be positive, not {max_items}")
     if m > max_items:
@@ -116,9 +114,9 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     # each item's positive bidders when the agent bids 0 on it, then when it
     # bids 1: item k's bid-1 variant is the layout's entry k + m, so the two
     # never share a feasibility memo key
-    sincere = _positive_bidders(QueryContext(instance, mechanism))
-    variants = ([tuple(i for i in b if i != agent) for b in sincere]
-                + [tuple(sorted({*b, agent})) for b in sincere])
+    bidders = _positive_bidders(ctx)
+    variants = ([tuple(i for i in b if i != agent) for b in bidders]
+                + [tuple(sorted({*b, agent})) for b in bidders])
     base, units, variant_masks, variant_tags = packed_sizes(mechanism, n, m, variants)
     # each item's entry, filled in as the bits are decided
     positive, masks, tags = [None] * m, [0] * m, [0] * m
@@ -160,12 +158,8 @@ def best_response_search(instance: Instance, mechanism: Mechanism, agent: int,
     return true_row, ZERO
 
 
-def is_strategyproof_on_instance(instance: Instance, mechanism: Mechanism,
-                                 max_items: int = DEFAULT_SEARCH_MAX_ITEMS,
-                                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
+def is_strategyproof_on_instance(ctx: QueryContext,
+                                 max_items: int = DEFAULT_SEARCH_MAX_ITEMS) -> bool:
     """True when no agent's best response beats sincere bidding."""
-    for agent in range(instance.n):
-        _, gain = best_response_search(instance, mechanism, agent, max_items, budget)
-        if gain > 0:
-            return False
-    return True
+    return not any(best_response_search(ctx, agent, max_items)[1]
+                   for agent in range(ctx.instance.n))

@@ -15,7 +15,6 @@ from fractions import Fraction
 from onlinefair import (
     FixedOrder,
     Instance,
-    ManipulationQuery,
     Mechanism,
     QueryContext,
     best_response_search,
@@ -190,10 +189,9 @@ def test_07_decoy_drop_manipulation_values():
     collector = 9
     deviation = list(inst.utilities[collector])
     deviation[10] = F(0)
-    q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, collector,
-                          tuple(deviation))
-    sincere, deviated = utilities_under_deviation(q)
-    gain = exact_manipulation_gain(q)
+    ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+    sincere, deviated = utilities_under_deviation(ctx, collector, deviation)
+    gain = exact_manipulation_gain(ctx, collector, deviation)
     ok = sincere == F(2) and deviated == F(46, 45) and gain == F(-44, 45)
     _report(7, "dropping the decoy bid moves the collector from 2 to 46/45 "
             "(gain -44/45)", ok)
@@ -208,9 +206,9 @@ def test_08_prize_drop_necessary_manipulation_linkage():
         challenger = roles["challenger"]
         deviation = list(inst.utilities[challenger])
         deviation[roles["prize_item"]] = F(0)
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, challenger,
-                              tuple(deviation), threshold=F(0))
-        answers.append(necessary_manipulation(q))
+        answers.append(necessary_manipulation(
+            QueryContext(inst, Mechanism.BALANCED_LIKE), challenger, deviation,
+            threshold=F(0)))
     ok = answers == [True, False]
     _report(8, "zero-bidding the prize is a zero-threshold necessary "
             "manipulation at r=1 but not r=2", ok)
@@ -223,17 +221,18 @@ def test_09_strategyproofness_profile():
         inst = random_fixed_instance(rng, rng.randint(1, 3), rng.randint(1, 4),
                                      rational=trial % 2)
         for agent in range(inst.n):
-            _, gain = best_response_search(inst, Mechanism.LIKE, agent)
+            _, gain = best_response_search(QueryContext(inst, Mechanism.LIKE), agent)
             ok = ok and gain == 0
     for _ in range(100):
         inst = random_fixed_instance(rng, 2, rng.randint(1, 4))
         for agent in range(2):
-            _, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, agent)
+            _, gain = best_response_search(
+                QueryContext(inst, Mechanism.BALANCED_LIKE), agent)
             ok = ok and gain == 0
     pinned = Instance(3, 3, ((F(0), F(1), F(0)),
                              (F(1), F(0), F(1)),
                              (F(1), F(1), F(1))), FixedOrder((0, 1, 2)))
-    row, gain = best_response_search(pinned, Mechanism.BALANCED_LIKE, 2)
+    row, gain = best_response_search(QueryContext(pinned, Mechanism.BALANCED_LIKE), 2)
     ok = ok and gain == F(1, 8) and row == (F(0), F(1), F(1))
     _report(9, "sincere bidding is a best response for Like everywhere and "
             "for two-agent 0/1 balanced allocation; pinned three-agent "

@@ -192,12 +192,14 @@ class TestOutcome:
     ])
     def test_prefix_bundle_lists_each_item_once(self, capsys, pair_instance,
                                                 tmp_path, command):
+        # within one bundle or across two, the repeated item is named 1-based
         path = tmp_path / "prefix.json"
-        path.write_text(json.dumps({"arrived": [1, 2], "bundles": [[1, 1], [2]]}))
-        code, out, err = run_cli(capsys, command[0], pair_instance, *command[1:],
-                                 "--mechanism", "like", "--prefix", str(path))
-        assert code == 2 and out == ""
-        assert "a prefix bundle lists an item twice" in err
+        for bundles, item in ([[2, 2], [1]], 2), ([[1], [1]], 1):
+            path.write_text(json.dumps({"arrived": [1, 2], "bundles": bundles}))
+            code, out, err = run_cli(capsys, command[0], pair_instance, *command[1:],
+                                     "--mechanism", "like", "--prefix", str(path))
+            assert code == 2 and out == ""
+            assert err == f"error: the prefix bundles list item {item} twice\n"
 
     def test_agent_out_of_range(self, capsys, pair_instance):
         code, _, err = run_cli(capsys, "outcome", pair_instance, "--query",
@@ -1007,6 +1009,50 @@ class TestLauncher:
         assert result.stderr.startswith("error: cannot write the report: ")
         assert result.stderr.count("\n") == 1
 
+    @BUFFERING
+    @pytest.mark.parametrize("argv", [["--help"], ["outcome", "x.json", "--bogus"]],
+                             ids=" ".join)
+    def test_argparse_exits_as_main(self, capsys, unbuffered, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        result = launch(argv, unbuffered)
+        assert stop.value.code in (0, 2)
+        assert (result.returncode, result.stdout, result.stderr) \
+            == (stop.value.code, captured.out, captured.err)
+
+    def test_help_to_a_full_device(self):
+        # argparse's own report goes through the launcher's flush; unbuffered,
+        # argparse swallows the write error itself, so only buffered is checked
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+        try:
+            result = launch(["--help"], unbuffered=False, stdout=fd)
+        finally:
+            os.close(fd)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cannot write the report: ")
+        assert result.stderr.count("\n") == 1
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv, code, message", [
+        (["oracle", "--kind", "count-pm", "--graph-name", "k33"], 1,
+         "error: cannot write the report: stdout is closed\n"),
+        (["outcome", "missing.json", "--query", "exact", "--mechanism", "like",
+          "--agent", "1"], 2, "error: cannot read missing.json: "),
+    ], ids=["exit 0", "exit 2"])
+    def test_closed_stdout(self, unbuffered, argv, code, message):
+        # the child starts with descriptor 1 closed, so sys.stdout is None;
+        # a report needs it, an input error does not
+        start = ("import os, sys; os.close(1); os.execv(sys.executable, "
+                 "[sys.executable, '-m', 'onlinefair.cli', *sys.argv[1:]])")
+        result = run_python("-c", start, *argv,
+                            env={"PYTHONUNBUFFERED": "1" if unbuffered else None})
+        assert result.returncode == code
+        assert result.stderr.startswith(message)
+        assert result.stderr.count("\n") == 1
+
     def test_script_is_the_launcher(self):
         tomllib = pytest.importorskip("tomllib")
         with open(SRC.parent / "pyproject.toml", "rb") as handle:
@@ -1040,6 +1086,26 @@ class TestTraceHarness:
             # engine's module global too, where the harness counts them
             assert sum(calls for name, _parent, calls, _seconds in trace["leaves"]
                        if name == "mechanisms.feasible_for_counts") > 0
+
+    @pytest.mark.parametrize("mode, span, rows", [
+        (("exact", "--deviation", "DEV"), "manipulation.utilities_under_deviation", 2),
+        (("best-response",), "manipulation.best_response_search", 0),
+    ])
+    def test_traced_manipulate(self, witness_instance, tmp_path, mode, span, rows):
+        # a deviation prices two rows through manipulation's exact_utility,
+        # which is how perfbench counts manipulation.rows.calls
+        deviation = tmp_path / "dev.json"
+        deviation.write_text(json.dumps(["0", "1", "1"]))
+        spans = tmp_path / "spans.json"
+        mode = [str(deviation) if arg == "DEV" else arg for arg in mode]
+        result = run_python(str(TRACE_ENTRY), str(spans), "q", "--", "manipulate",
+                            witness_instance, "--agent", "3", "--mode", *mode)
+        assert result.returncode == 0, result.stderr
+        recorded = json.loads(spans.read_text())["spans"]
+        assert span in {name for name, *_rest in recorded}
+        assert sum(name == "engine.exact_utility" and parent >= 0
+                   and recorded[parent][0].startswith("manipulation.")
+                   for name, _start, _end, parent in recorded) == rows
 
     @pytest.mark.parametrize("mechanism", ["like", "balanced-like"])
     def test_traced_sample_counts_feasible_sets(self, pair_instance, tmp_path,

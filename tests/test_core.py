@@ -13,7 +13,6 @@ from onlinefair import (
     Instance,
     InvalidDistribution,
     InvalidOrder,
-    ManipulationQuery,
     Mechanism,
     NegativeValue,
     OutcomeReport,
@@ -171,9 +170,6 @@ RECORDS = {
         (F(1), F(1, 2)), ((F(1), F(0)),), "dp")),
     "QueryContext": ("budget", lambda: QueryContext(
         two_agent_instance(FixedOrder((0, 1))), Mechanism.LIKE)),
-    "ManipulationQuery": ("threshold", lambda: ManipulationQuery(
-        two_agent_instance(FixedOrder((0, 1))), Mechanism.BALANCED_LIKE, 0,
-        (F(0), F(1)))),
     "BipartiteGraph": ("edges", lambda: make_graph(2, 2, [(0, 0), (1, 1)])),
     "SubsetInstance": ("b", lambda: SubsetInstance((1, 2, 3), 5, 2)),
 }
@@ -190,10 +186,6 @@ class TestRecords:
         assert ctx.budget == DEFAULT_ENUMERATION_BUDGET
         assert ctx == QueryContext(inst, Mechanism.LIKE, None, None,
                                    DEFAULT_ENUMERATION_BUDGET)
-        query = ManipulationQuery(instance=inst, mechanism=Mechanism.LIKE,
-                                  agent=1, deviation=(F(1), F(0)))
-        assert query.sincere is None and query.threshold == 0
-        assert query.budget == DEFAULT_ENUMERATION_BUDGET
         assert Instance(n=2, m=2, utilities=inst.utilities,
                         arrival=inst.arrival) == inst
 

@@ -689,7 +689,7 @@ class TestKernelMemo:
             tuple(F(int(i in bidders)) for bidders in others) for i in range(1, 5)]
         inst = Instance(5, 6, tuple(rows), FixedOrder((2, 0, 5, 1, 4, 3)))
         calls = count_feasible_calls(monkeypatch)
-        assert best_response_search(inst, mechanism, 0) \
+        assert best_response_search(QueryContext(inst, mechanism), 0) \
             == naive_best_response(inst, mechanism, 0)
         # under Like no sizes are kept, so the counts are empty
         keys = {(bidders, tuple(counts[i] for i in bidders if counts))

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onlinefair import (
+    AllocationState,
     BudgetExceeded,
     FixedOrder,
     InputError,
     Instance,
-    ManipulationQuery,
     Mechanism,
     QueryContext,
+    UnsupportedQuery,
     best_response_search,
     exact_manipulation_gain,
+    exact_utility,
     is_strategyproof_on_instance,
     necessary_manipulation,
     outcome_report,
@@ -48,67 +50,59 @@ class TestExactGain:
         inst = pinned_witness()
         for mechanism in Mechanism:
             for agent in range(3):
-                q = ManipulationQuery(inst, mechanism, agent,
-                                      inst.utilities[agent])
-                assert exact_manipulation_gain(q) == F(0)
+                assert exact_manipulation_gain(QueryContext(inst, mechanism), agent,
+                                               inst.utilities[agent]) == F(0)
 
     def test_pinned_witness_values(self):
         inst = pinned_witness()
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2,
-                              (F(0), F(1), F(1)))
-        sincere, deviated = utilities_under_deviation(q)
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        sincere, deviated = utilities_under_deviation(ctx, 2, (F(0), F(1), F(1)))
         assert sincere == F(9, 8)
         assert deviated == F(5, 4)
-        assert exact_manipulation_gain(q) == F(1, 8)
+        assert exact_manipulation_gain(ctx, 2, (F(0), F(1), F(1))) == F(1, 8)
         # entries are parsed like any rational input
-        assert exact_manipulation_gain(q._replace(deviation=["0", 1, "1/2"])) == F(1, 8)
+        assert exact_manipulation_gain(ctx, 2, ["0", 1, "1/2"]) == F(1, 8)
 
     def test_dropping_every_bid_avoids_all_items(self):
         inst = pinned_witness()
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2,
-                              (F(0), F(0), F(0)))
-        _, deviated = utilities_under_deviation(q)
+        _, deviated = utilities_under_deviation(
+            QueryContext(inst, Mechanism.BALANCED_LIKE), 2, (F(0), F(0), F(0)))
         assert deviated == F(0)
 
     def test_explicit_sincere_row_overrides_utilities(self):
         # gains are measured between the two given rows, priced by true
         # utilities either way
         inst = pinned_witness()
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2,
-                              deviation=(F(0), F(1), F(1)),
-                              sincere=(F(0), F(1), F(1)))
-        assert exact_manipulation_gain(q) == F(0)
+        assert exact_manipulation_gain(QueryContext(inst, Mechanism.BALANCED_LIKE), 2,
+                                       deviation=(F(0), F(1), F(1)),
+                                       sincere=(F(0), F(1), F(1))) == F(0)
 
     def test_bid_row_validation(self):
-        inst = pinned_witness()
+        ctx = QueryContext(pinned_witness(), Mechanism.LIKE)
         with pytest.raises(InputError):
-            exact_manipulation_gain(ManipulationQuery(
-                inst, Mechanism.LIKE, 0, (F(1), F(1))))
+            exact_manipulation_gain(ctx, 0, (F(1), F(1)))
         with pytest.raises(InputError):
-            exact_manipulation_gain(ManipulationQuery(
-                inst, Mechanism.LIKE, 0, (F(-1), F(1), F(1))))
+            exact_manipulation_gain(ctx, 0, (F(-1), F(1), F(1)))
         with pytest.raises(InputError):
-            exact_manipulation_gain(ManipulationQuery(
-                inst, Mechanism.LIKE, 0, (0.5, 1, 1)))
+            exact_manipulation_gain(ctx, 0, (0.5, 1, 1))
 
     @pytest.mark.parametrize("agent", [-1, 3])
     def test_agent_out_of_range(self, agent):
         # -1 must not answer for the last agent
-        inst = pinned_witness()
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, agent, (F(0), F(1), F(1)))
+        ctx = QueryContext(pinned_witness(), Mechanism.BALANCED_LIKE)
         with pytest.raises(InputError, match=r"outside 0\.\.2"):
-            utilities_under_deviation(q)
+            utilities_under_deviation(ctx, agent, (F(0), F(1), F(1)))
         with pytest.raises(InputError, match=r"outside 0\.\.2"):
-            best_response_search(inst, Mechanism.BALANCED_LIKE, agent)
+            best_response_search(ctx, agent)
 
     def test_query_budget_bounds_every_entry_point(self):
-        q = ManipulationQuery(pinned_witness(), Mechanism.BALANCED_LIKE, 2,
-                              (F(0), F(1), F(1)), budget=1)
+        ctx = QueryContext(pinned_witness(), Mechanism.BALANCED_LIKE, budget=1)
         for query in (utilities_under_deviation, exact_manipulation_gain,
                       necessary_manipulation):
             with pytest.raises(BudgetExceeded):
-                query(q)
-        assert exact_manipulation_gain(q._replace(budget=3)) == F(1, 8)
+                query(ctx, 2, (F(0), F(1), F(1)))
+        assert exact_manipulation_gain(ctx._replace(budget=3), 2,
+                                       (F(0), F(1), F(1))) == F(1, 8)
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(min_value="1/7", max_value=9, max_denominator=11))
@@ -116,33 +110,30 @@ class TestExactGain:
         inst = pinned_witness()
         base = (F(0), F(1), F(1))
         scaled = tuple(scale * v for v in base)
-        q_base = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2, base)
-        q_scaled = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2, scaled)
-        assert exact_manipulation_gain(q_base) \
-            == exact_manipulation_gain(q_scaled)
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        assert exact_manipulation_gain(ctx, 2, base) \
+            == exact_manipulation_gain(ctx, 2, scaled)
 
 
 class TestNecessaryManipulation:
     def test_threshold_boundary(self):
-        inst = pinned_witness()
+        ctx = QueryContext(pinned_witness(), Mechanism.BALANCED_LIKE)
         deviation = (F(0), F(1), F(1))
-        gain = exact_manipulation_gain(
-            ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2, deviation))
-        at = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2, deviation,
-                               threshold=gain)
-        above = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2, deviation,
-                                  threshold=gain + F(1, 10**6))
-        assert necessary_manipulation(at)
-        assert not necessary_manipulation(at, strict=True)
-        assert not necessary_manipulation(above)
+        gain = exact_manipulation_gain(ctx, 2, deviation)
+        assert necessary_manipulation(ctx, 2, deviation, threshold=gain)
+        assert not necessary_manipulation(ctx, 2, deviation, threshold=gain,
+                                          strict=True)
+        assert not necessary_manipulation(ctx, 2, deviation,
+                                          threshold=gain + F(1, 10**6))
 
     def test_zero_threshold_default(self):
         inst = pinned_witness()
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, 2,
-                              (F(0), F(1), F(1)))
-        assert q.threshold == F(0)
-        assert necessary_manipulation(q)
-        assert necessary_manipulation(q, strict=True)
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        assert necessary_manipulation(ctx, 2, (F(0), F(1), F(1)))
+        assert necessary_manipulation(ctx, 2, (F(0), F(1), F(1)), strict=True)
+        # the sincere row gains exactly 0, which pins the default threshold
+        assert necessary_manipulation(ctx, 2, inst.utilities[2])
+        assert not necessary_manipulation(ctx, 2, inst.utilities[2], strict=True)
 
     def test_prize_drop_on_reachable_gadget_is_harmful(self):
         # when the challenger can actually win the prize, zero-bidding it
@@ -153,23 +144,23 @@ class TestNecessaryManipulation:
         challenger = roles["challenger"]
         deviation = list(inst.utilities[challenger])
         deviation[roles["prize_item"]] = F(0)
-        q = ManipulationQuery(inst, Mechanism.BALANCED_LIKE, challenger,
-                              tuple(deviation))
-        assert exact_manipulation_gain(q) == -F(1, 4)
-        assert not necessary_manipulation(q)
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        assert exact_manipulation_gain(ctx, challenger, deviation) == -F(1, 4)
+        assert not necessary_manipulation(ctx, challenger, deviation)
 
 
 class TestBestResponse:
     def test_finds_pinned_witness(self):
         inst = pinned_witness()
-        row, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, 2)
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE)
+        row, gain = best_response_search(ctx, 2)
         assert row == (F(0), F(1), F(1))
         assert gain == F(1, 8)
-        assert not is_strategyproof_on_instance(inst, Mechanism.BALANCED_LIKE)
+        assert not is_strategyproof_on_instance(ctx)
 
     def test_ties_break_to_sincere(self):
         inst = Instance(2, 2, ((F(1), F(1)), (F(1), F(1))), FixedOrder((0, 1)))
-        row, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, 0)
+        row, gain = best_response_search(QueryContext(inst, Mechanism.BALANCED_LIKE), 0)
         assert gain == F(0)
         assert row == inst.utilities[0]
 
@@ -179,7 +170,7 @@ class TestBestResponse:
         # (1, 1, 0, 0) first; the smaller row in item order still wins.
         inst = Instance(2, 4, ((F(2), F(2), F(1), F(2)), (F(2), F(1), F(1), F(0))),
                         FixedOrder((3, 2, 1, 0)))
-        row, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, 1)
+        row, gain = best_response_search(QueryContext(inst, Mechanism.BALANCED_LIKE), 1)
         assert row == (F(1), F(0), F(1), F(0))
         assert gain == F(1, 2)
 
@@ -188,7 +179,7 @@ class TestBestResponse:
         # at the maximum, 5/3; only a strict gain displaces the sincere row
         inst = Instance(3, 3, ((F(0), F(1), F(2)), (F(0), F(1), F(2)),
                                (F(1), F(2), F(2))), FixedOrder((1, 0, 2)))
-        row, gain = best_response_search(inst, Mechanism.BALANCED_LIKE, 2)
+        row, gain = best_response_search(QueryContext(inst, Mechanism.BALANCED_LIKE), 2)
         assert row == inst.utilities[2]
         assert gain == F(0)
 
@@ -198,29 +189,30 @@ class TestBestResponse:
         inst = Instance(3, 3, ((F(0), F(0), F(1)), (F(0), F(0), F(1)),
                                (F(1), F(1), F(1))), FixedOrder((0, 1, 2)))
         with pytest.raises(BudgetExceeded, match=r"at moment 3 of 3 \(budget 1\)"):
-            best_response_search(inst, Mechanism.BALANCED_LIKE, 2, budget=1)
+            best_response_search(QueryContext(inst, Mechanism.BALANCED_LIKE, budget=1), 2)
         # under Like a fixed-order frontier holds a single state
-        assert best_response_search(inst, Mechanism.LIKE, 2, budget=1) \
-            == (inst.utilities[2], F(0))
-        assert is_strategyproof_on_instance(inst, Mechanism.LIKE, budget=1)
+        like = QueryContext(inst, Mechanism.LIKE, budget=1)
+        assert best_response_search(like, 2) == (inst.utilities[2], F(0))
+        assert is_strategyproof_on_instance(like)
 
     def test_like_is_strategyproof_on_random_instances(self):
         rng = random.Random(55)
         for trial in range(25):
             inst = random_fixed_instance(rng, rng.randint(1, 3),
                                          rng.randint(1, 4), rational=trial % 2)
-            assert is_strategyproof_on_instance(inst, Mechanism.LIKE)
+            assert is_strategyproof_on_instance(QueryContext(inst, Mechanism.LIKE))
 
     def test_two_agent_balanced_binary_is_strategyproof(self):
         rng = random.Random(56)
         for _ in range(25):
             inst = random_fixed_instance(rng, 2, rng.randint(1, 4))
-            assert is_strategyproof_on_instance(inst, Mechanism.BALANCED_LIKE)
+            assert is_strategyproof_on_instance(
+                QueryContext(inst, Mechanism.BALANCED_LIKE))
 
     def test_item_cap(self):
         inst = Instance(1, 3, ((F(1), F(1), F(1)),), FixedOrder((0, 1, 2)))
         with pytest.raises(BudgetExceeded):
-            best_response_search(inst, Mechanism.LIKE, 0, max_items=2)
+            best_response_search(QueryContext(inst, Mechanism.LIKE), 0, max_items=2)
 
     def test_gain_never_negative(self):
         # sincere is always a candidate, so the search result cannot lose
@@ -229,7 +221,7 @@ class TestBestResponse:
             inst = random_fixed_instance(rng, rng.randint(2, 3),
                                          rng.randint(1, 4))
             for mechanism in Mechanism:
-                _, gain = best_response_search(inst, mechanism, 0)
+                _, gain = best_response_search(QueryContext(inst, mechanism), 0)
                 assert gain >= 0
 
 
@@ -242,11 +234,11 @@ class TestAgainstEngine:
             agent = rng.randrange(inst.n)
             deviation = tuple(F(rng.randint(0, 1)) for _ in range(inst.m))
             for mechanism in Mechanism:
-                q = ManipulationQuery(inst, mechanism, agent, deviation)
-                sincere, deviated = utilities_under_deviation(q)
-                assert sincere == outcome_report(
-                    QueryContext(inst, mechanism)).expected_utility[agent]
-                assert exact_manipulation_gain(q) == deviated - sincere
+                ctx = QueryContext(inst, mechanism)
+                sincere, deviated = utilities_under_deviation(ctx, agent, deviation)
+                assert sincere == outcome_report(ctx).expected_utility[agent]
+                assert exact_manipulation_gain(ctx, agent, deviation) \
+                    == deviated - sincere
 
 
 class TestAgainstNaiveOracle:
@@ -261,5 +253,54 @@ class TestAgainstNaiveOracle:
         inst = make(rng, n, m, rational=True)
         agent = rng.randrange(n)
         for mechanism in Mechanism:
-            assert best_response_search(inst, mechanism, agent) \
+            assert best_response_search(QueryContext(inst, mechanism), agent) \
                 == naive_best_response(inst, mechanism, agent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_other_agents_bid_the_context_bids(self, rng, fixed):
+        # the others bid ctx.bids and the agent keeps its true row: the search
+        # is the naive one on an instance whose utilities are those bids, and
+        # a deviation's two values are exact_utility with the row swapped in
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6 if fixed else 4)
+        make = random_fixed_instance if fixed else random_distribution_instance
+        inst = make(rng, n, m, rational=True)
+        agent = rng.randrange(n)
+        bids = [tuple(F(rng.randint(0, 2)) for _ in range(m)) for _ in range(n)]
+        bids[agent] = inst.utilities[agent]
+        deviation = tuple(F(rng.randint(0, 1)) for _ in range(m))
+        swapped = [*bids[:agent], deviation, *bids[agent + 1:]]
+        for mechanism in Mechanism:
+            ctx = QueryContext(inst, mechanism, tuple(bids))
+            assert best_response_search(ctx, agent) \
+                == naive_best_response(inst._replace(utilities=tuple(bids)),
+                                       mechanism, agent)
+            assert utilities_under_deviation(ctx, agent, deviation) \
+                == (exact_utility(ctx, agent),
+                    exact_utility(ctx._replace(bids=tuple(swapped)), agent))
+
+
+class TestKnownPrefix:
+    def prefix_context(self):
+        # agent 2 already holds item 1, the first of the fixed order
+        state = AllocationState((frozenset(), frozenset({0}), frozenset()), F(1))
+        return QueryContext(pinned_witness(), Mechanism.BALANCED_LIKE,
+                            known_prefix=((0,), state))
+
+    def test_search_and_strategyproof_check_refuse_a_prefix(self):
+        ctx = self.prefix_context()
+        with pytest.raises(UnsupportedQuery, match="empty allocation"):
+            best_response_search(ctx, 2)
+        with pytest.raises(UnsupportedQuery, match="empty allocation"):
+            is_strategyproof_on_instance(ctx)
+
+    def test_deviation_is_priced_in_the_online_setting(self):
+        ctx = self.prefix_context()
+        deviation = (F(0), F(0), F(0))
+        rows = ctx.instance.utilities
+        sincere, deviated = utilities_under_deviation(ctx, 2, deviation)
+        assert sincere == exact_utility(ctx, 2)
+        assert deviated == exact_utility(ctx._replace(bids=(*rows[:2], deviation)), 2)
+        # bidding on nothing, agent 3 cannot win the next item
+        assert deviated == 0 < sincere
