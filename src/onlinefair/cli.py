@@ -75,6 +75,23 @@ NAMED_GRAPHS = {
     "k55-minus-c10": lambda: complete_minus_even_cycle(5),
 }
 
+# For each option that picks a mode or kind, the optional flags that each of
+# its choices reads, "!" marking the ones it needs (``_check_flags``).
+_READS = {
+    "query": {"exact": "--item", "necessary": "--threshold!", "possible": "--item"},
+    "mode": {"necessary": "--threshold --strict --agent! --deviation!",
+             "exact": "--agent! --deviation!", "best-response": "--agent! --max-items",
+             "strategyproof": "--max-items"},
+    "kind": {"reduction1": "--graph --graph-name --full-support",
+             "reduction2": "--graph --graph-name",
+             "reduction2-manip": "--graph --graph-name",
+             "reduction3": "--graph --graph-name -r!",
+             "subset": "--values! -b/--target! -c/--cardinality!",
+             "random": "-n/--agents -m/--items --seed --arrival --utility-kind",
+             "count-pm": "--graph --graph-name", "min-maximal": "--graph --graph-name",
+             "subset-sum": "--values! -b/--target! -c/--cardinality!"},
+}
+
 
 def _budget() -> int:
     raw = os.environ.get("ONLINEFAIR_BUDGET")
@@ -114,12 +131,12 @@ def _load_prefix(data: dict, n: int, m: int) -> tuple[tuple[int, ...], Allocatio
         raw_bundles = data["bundles"]
     except KeyError as exc:
         raise InputError(f"missing prefix field: {exc}") from exc
-    arrived = tuple(_item_index(json_int(k, "arrived item"), m)
+    arrived = tuple(_index(json_int(k, "arrived item"), m)
                     for k in json_list(raw_arrived, "arrived"))
     raw_bundles = json_list(raw_bundles, "bundles")
     if len(raw_bundles) != n:
         raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
-    bundles = [[_item_index(json_int(k, "bundle item"), m)
+    bundles = [[_index(json_int(k, "bundle item"), m)
                 for k in json_list(bundle, "bundle")] for bundle in raw_bundles]
     held = sorted(k for bundle in bundles for k in bundle)
     for k, after in zip(held, held[1:]):
@@ -129,37 +146,22 @@ def _load_prefix(data: dict, n: int, m: int) -> tuple[tuple[int, ...], Allocatio
     return arrived, AllocationState(tuple(map(frozenset, bundles)), probability)
 
 
-def _agent_index(value: int, n: int) -> int:
-    if not 1 <= value <= n:
-        raise InputError(f"agent {value} outside 1..{n}")
-    return value - 1
-
-
-def _item_index(value: int, m: int) -> int:
-    if not 1 <= value <= m:
-        raise InputError(f"item {value} outside 1..{m}")
+def _index(value: int, size: int, what: str = "item") -> int:
+    """The 0-based index of a 1-based agent or item."""
+    if not 1 <= value <= size:
+        raise InputError(f"{what} {value} outside 1..{size}")
     return value - 1
 
 
 def _graph_from_args(args) -> "BipartiteGraph":
-    if getattr(args, "graph", None):
+    if args.graph:
         return graph_from_json_dict(_load_json(args.graph))
-    name = getattr(args, "graph_name", None)
-    if name:
-        try:
-            return NAMED_GRAPHS[name]()
-        except KeyError as exc:
-            raise InputError(
-                f"unknown graph name {name!r}; pick from "
-                f"{sorted(NAMED_GRAPHS)}") from exc
+    if args.graph_name:  # argparse restricts it to the names
+        return NAMED_GRAPHS[args.graph_name]()
     raise InputError("provide --graph FILE or --graph-name NAME")
 
 
 def _subset_from_args(args):
-    for flag, value in (("--values", args.values), ("-b/--target", args.target),
-                        ("-c/--cardinality", args.cardinality)):
-        if value is None:
-            raise InputError(f"--kind {args.kind} needs {flag}")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -179,11 +181,28 @@ def _context(args) -> QueryContext:
 # --- subcommand handlers --------------------------------------------------------
 
 
+def _check_flags(args) -> None:
+    """Refuse a flag that the chosen mode or kind never reads, and a missing
+    one that it needs, as ``_READS`` lists them.  A flag counts as given
+    unless its value is None, or False for a switch."""
+    for option, reads in _READS.items():
+        choice = getattr(args, option, None)
+        if choice is None:  # another subcommand's option
+            continue
+        for flag in " ".join(reads.values()).split():
+            # the dest of the long form: "-b/--target!" is args.target
+            value = getattr(args, flag.strip("-!").split("--")[-1].replace("-", "_"), None)
+            if flag not in reads[choice].split():
+                if value is not None and value is not False:
+                    raise InputError(
+                        f"{flag.rstrip('!')} is not supported for --{option} {choice}")
+            elif flag[-1] == "!" and value is None:
+                raise InputError(f"--{option} {choice} needs {flag[:-1]}")
+
+
 def _run_outcome(args) -> dict:
-    if args.threshold is not None and args.query != "necessary":
-        raise InputError(f"--threshold is not supported for {args.query} queries")
     ctx = _context(args)
-    agent = _agent_index(args.agent, ctx.instance.n)
+    agent = _index(args.agent, ctx.instance.n, "agent")
     out = {
         "query": args.query,
         "mechanism": ctx.mechanism.value,
@@ -203,24 +222,20 @@ def _run_outcome(args) -> dict:
             report = outcome_report(ctx)
             out.update(report.to_json_dict())
             if args.item is not None:
-                item = _item_index(args.item, ctx.instance.m)
+                item = _index(args.item, ctx.instance.m)
                 out["item"] = args.item
                 out["value"] = format_rational(
                     report.allocation_probability[agent][item])
             else:
                 out["value"] = format_rational(report.expected_utility[agent])
     elif args.query == "necessary":
-        if args.item is not None:
-            raise InputError("--item is not supported for necessary queries")
-        if args.threshold is None:
-            raise InputError("necessary queries need --threshold p/q")
         threshold = parse_rational(args.threshold)
         value = exact_utility(ctx, agent)
         out["threshold"] = format_rational(threshold)
         out["value"] = format_rational(value)
         out["answer"] = value >= threshold
     elif args.item is not None:  # possible
-        item = _item_index(args.item, ctx.instance.m)
+        item = _index(args.item, ctx.instance.m)
         out["item"] = args.item
         out["answer"] = possible_item(ctx, agent, item)
     else:
@@ -229,28 +244,19 @@ def _run_outcome(args) -> dict:
 
 
 def _run_manipulate(args) -> dict:
-    if args.mode != "necessary" and (args.threshold is not None or args.strict):
-        raise InputError("--threshold and --strict are only for --mode necessary")
-    if args.deviation is not None and args.mode not in ("exact", "necessary"):
-        raise InputError("--deviation is only for --mode exact and necessary")
-    if args.agent is not None and args.mode == "strategyproof":
-        raise InputError("--agent is not supported for --mode strategyproof")
     ctx = _context(args)
     out = {"mode": args.mode, "mechanism": ctx.mechanism.value}
+    cap = DEFAULT_SEARCH_MAX_ITEMS if args.max_items is None else args.max_items
     if args.mode == "strategyproof":
-        out["answer"] = is_strategyproof_on_instance(ctx, args.max_items)
+        out["answer"] = is_strategyproof_on_instance(ctx, cap)
         return out
-    if args.agent is None:
-        raise InputError(f"--agent is required for mode {args.mode!r}")
-    agent = _agent_index(args.agent, ctx.instance.n)
+    agent = _index(args.agent, ctx.instance.n, "agent")
     out["agent"] = args.agent
     if args.mode == "best-response":
-        row, gain = best_response_search(ctx, agent, args.max_items)
+        row, gain = best_response_search(ctx, agent, cap)
         out["best_response_row"] = [format_rational(x) for x in row]
         out["gain"] = format_rational(gain)
         return out
-    if not args.deviation:
-        raise InputError(f"--deviation FILE is required for mode {args.mode!r}")
     threshold = parse_rational("0" if args.threshold is None else args.threshold)
     data = _load_json(args.deviation)
     if not isinstance(data, dict):
@@ -274,20 +280,6 @@ def _run_manipulate(args) -> dict:
 
 def _run_generate(args) -> dict:
     kind = args.kind
-    if kind == "reduction1":
-        instance = reduction1_instance(_graph_from_args(args),
-                                       edge_restricted=not args.full_support)
-        return instance_to_json_dict(instance)
-    if kind == "reduction2":
-        return instance_to_json_dict(reduction2_instance(_graph_from_args(args)))
-    if kind == "reduction2-manip":
-        return instance_to_json_dict(
-            reduction2_manip_instance(_graph_from_args(args)))
-    if kind == "reduction3":
-        if args.r is None:
-            raise InputError("reduction3 needs -r")
-        return instance_to_json_dict(
-            reduction3_instance(_graph_from_args(args), args.r))
     if kind == "subset":
         subset = _subset_from_args(args)
         instance, threshold = reduction_subset_instance(subset)
@@ -296,26 +288,36 @@ def _run_generate(args) -> dict:
             "threshold": format_rational(threshold),
             "subset_exists": subset_sum_bc(subset, _budget()),
         }
-    n, m, budget = args.agents, args.items, _budget()  # random
-    cells = n * m + (m * m if args.arrival == "distribution" else 0)
-    if n > 0 and m > 0 and cells > budget:
-        raise BudgetExceeded(
-            f"a random instance needs {cells} cells (budget {budget})")
-    instance = random_instance(n, m, args.seed,
-                               arrival=args.arrival, values=args.utility_kind)
+    if kind == "random":
+        n = 3 if args.agents is None else args.agents
+        m = 4 if args.items is None else args.items
+        budget = _budget()
+        cells = n * m + (m * m if args.arrival == "distribution" else 0)
+        if n > 0 and m > 0 and cells > budget:
+            raise BudgetExceeded(
+                f"a random instance needs {cells} cells (budget {budget})")
+        instance = random_instance(n, m, args.seed or 0, arrival=args.arrival or "order",
+                                   values=args.utility_kind or "binary")
+    elif kind == "reduction1":
+        instance = reduction1_instance(_graph_from_args(args),
+                                       edge_restricted=not args.full_support)
+    elif kind == "reduction3":
+        instance = reduction3_instance(_graph_from_args(args), args.r)
+    elif kind == "reduction2":
+        instance = reduction2_instance(_graph_from_args(args))
+    else:
+        instance = reduction2_manip_instance(_graph_from_args(args))
     return instance_to_json_dict(instance)
 
 
 def _run_oracle(args) -> dict:
-    kind = args.kind
-    if kind == "count-pm":
-        return {"kind": kind,
-                "answer": count_perfect_matchings(_graph_from_args(args), _budget())}
-    if kind == "min-maximal":
-        return {"kind": kind,
-                "answer": min_maximal_matching_size(_graph_from_args(args), _budget())}
-    return {"kind": kind,  # subset-sum
-            "answer": subset_sum_bc(_subset_from_args(args), _budget())}
+    if args.kind == "subset-sum":
+        answer = subset_sum_bc(_subset_from_args(args), _budget())
+    elif args.kind == "count-pm":
+        answer = count_perfect_matchings(_graph_from_args(args), _budget())
+    else:
+        answer = min_maximal_matching_size(_graph_from_args(args), _budget())
+    return {"kind": args.kind, "answer": answer}
 
 
 def _run_sample(args) -> dict:
@@ -371,8 +373,8 @@ def _add_manipulate(sub):
     manipulate.add_argument("--strict", action="store_true",
                             help="require a strictly larger gain")
     manipulate.add_argument("--max-items", type=int,
-                            default=DEFAULT_SEARCH_MAX_ITEMS,
-                            help="cap on items for exhaustive search")
+                            help=f"cap on items for exhaustive search "
+                            f"(default {DEFAULT_SEARCH_MAX_ITEMS})")
     manipulate.set_defaults(handler=_run_manipulate)
 
 
@@ -388,13 +390,13 @@ def _add_generate(sub):
     generate.add_argument("--values", help="comma-separated integers for subset")
     generate.add_argument("-b", "--target", type=int, help="subset target sum")
     generate.add_argument("-c", "--cardinality", type=int, help="subset cardinality")
-    generate.add_argument("-n", "--agents", type=int, default=3)
-    generate.add_argument("-m", "--items", type=int, default=4)
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("-n", "--agents", type=int, help="random: agents (default 3)")
+    generate.add_argument("-m", "--items", type=int, help="random: items (default 4)")
+    generate.add_argument("--seed", type=int, help="random: seed (default 0)")
     generate.add_argument("--arrival", choices=["order", "distribution"],
-                          default="order")
+                          help="random: arrival model (default order)")
     generate.add_argument("--utility-kind", choices=["binary", "rational"],
-                          default="binary")
+                          help="random: utilities (default binary)")
     generate.set_defaults(handler=_run_generate)
 
 
@@ -447,6 +449,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        _check_flags(args)
         payload = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,7 +110,7 @@ class TestOutcome:
                                  "necessary", "--mechanism", "like", "--agent", "1",
                                  "--threshold", "1/2", "--item", item)
         assert code == 2 and out == ""
-        assert "--item is not supported for necessary queries" in err
+        assert "--item is not supported for --query necessary" in err
 
     @pytest.mark.parametrize("query", [("exact",), ("exact", "--item", "2"),
                                        ("possible",), ("possible", "--item", "2")])
@@ -118,7 +119,7 @@ class TestOutcome:
                                  "--mechanism", "like", "--agent", "1",
                                  "--threshold", "9/2")
         assert code == 2 and out == ""
-        assert f"--threshold is not supported for {query[0]} queries" in err
+        assert f"--threshold is not supported for --query {query[0]}" in err
 
     def test_possible(self, capsys, witness_instance):
         out = run_json(capsys, "outcome", witness_instance, "--query",
@@ -282,13 +283,13 @@ class TestManipulate:
         code, out, err = run_cli(capsys, "manipulate", witness_instance, "--mode", mode,
                                  "--agent", "3", "--deviation", str(deviation), *flags)
         assert code == 2 and out == ""
-        assert "--threshold and --strict are only for --mode necessary" in err
+        assert f"{flags[0]} is not supported for --mode {mode}" in err
 
     @pytest.mark.parametrize("mode, flags, message", [
         ("best-response", ("--agent", "1", "--deviation", "DEV"),
-         "--deviation is only for --mode exact and necessary"),
+         "--deviation is not supported for --mode best-response"),
         ("strategyproof", ("--deviation", "DEV"),
-         "--deviation is only for --mode exact and necessary"),
+         "--deviation is not supported for --mode strategyproof"),
         ("strategyproof", ("--agent", "2"),
          "--agent is not supported for --mode strategyproof"),
     ], ids=["best-response --deviation", "strategyproof --deviation",
@@ -302,6 +303,26 @@ class TestManipulate:
                                  mode, *flags)
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("mode", ["exact", "necessary"])
+    @pytest.mark.parametrize("cap", ["1", "12"])
+    def test_max_items_only_for_searches(self, capsys, witness_instance, tmp_path,
+                                         mode, cap):
+        # the item cap bounds best-response and strategyproof searches only;
+        # the default value, given explicitly, is refused too
+        deviation = tmp_path / "dev.json"
+        deviation.write_text(json.dumps(["0", "1", "1"]))
+        code, out, err = run_cli(capsys, "manipulate", witness_instance, "--mode", mode,
+                                 "--agent", "3", "--deviation", str(deviation),
+                                 "--max-items", cap)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-items is not supported for --mode {mode}\n"
+
+    def test_default_item_cap_still_applies(self, capsys, witness_instance):
+        assert run_json(capsys, "manipulate", witness_instance, "--mode",
+                        "best-response", "--agent", "3") \
+            == run_json(capsys, "manipulate", witness_instance, "--mode",
+                        "best-response", "--agent", "3", "--max-items", "12")
 
     def test_missing_deviation_file(self, capsys, witness_instance):
         code, _, err = run_cli(capsys, "manipulate", witness_instance,
@@ -403,6 +424,30 @@ class TestGenerate:
                            "--graph", str(path))
         assert payload["agents"] == 2
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("reduction2", ("--graph-name", "k33", "-r", "3")),
+        ("reduction2", ("--graph-name", "k33", "--seed", "5")),
+        ("reduction2", ("--graph-name", "k33", "--seed", "0")),
+        ("reduction1", ("--graph-name", "c4", "-n", "0")),
+        ("reduction3", ("--graph-name", "c4", "-r", "1", "--values", "1,2")),
+        ("reduction2-manip", ("--graph-name", "k33", "--full-support")),
+        ("subset", ("--values", "1,2", "-b", "3", "-c", "2", "--graph-name", "c4")),
+        ("random", ("--graph-name", "c4",)),
+        ("random", ("--arrival", "order", "-r", "0")),
+    ])
+    def test_refuses_flags_the_kind_never_reads(self, capsys, kind, flags):
+        code, out, err = run_cli(capsys, "generate", "--kind", kind, *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"is not supported for --kind {kind}" in err
+
+    def test_random_defaults(self, capsys):
+        payload = run_json(capsys, "generate", "--kind", "random")
+        assert payload == run_json(capsys, "generate", "--kind", "random", "-n", "3",
+                                   "-m", "4", "--seed", "0", "--arrival", "order",
+                                   "--utility-kind", "binary")
+        assert (payload["agents"], payload["items"]) == (3, 4)
+
     def test_unknown_graph_name_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["generate", "--kind", "reduction1", "--graph-name", "nope"])
@@ -477,6 +522,19 @@ class TestOracle:
         out = run_json(capsys, "oracle", "--kind", "subset-sum",
                        "--values", powers, "-b", "3", "-c", "2")
         assert out["answer"] is True
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("count-pm", ("--graph-name", "k33", "--values", "1,2", "-b", "3")),
+        ("count-pm", ("--graph-name", "k33", "-c", "0")),
+        ("min-maximal", ("--graph-name", "c6", "-b", "3")),
+        ("subset-sum", ("--values", "1,2", "-b", "3", "-c", "2", "--graph-name", "k33")),
+        ("subset-sum", ("--values", "1,2", "-b", "3", "-c", "2", "--graph", "g.json")),
+    ])
+    def test_refuses_flags_the_kind_never_reads(self, capsys, kind, flags):
+        code, out, err = run_cli(capsys, "oracle", "--kind", kind, *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"is not supported for --kind {kind}" in err
 
 
 class TestSample:
@@ -951,6 +1009,16 @@ class TestStartup:
         cli = set(run_python("-c", calls + show).stderr.split())
         assert "onlinefair.cli" in cli
         assert not {"dataclasses", "inspect"} & (cli - bare)
+
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 3451), ("cli.py", 3633)])
+    def test_module_size_ceiling(self, module, ceiling):
+        """Every CLI call compiles these modules, so neither may grow past its
+        tokenize token count (ENCODING token included) when the ceiling was
+        set.  A change that needs room deletes code to make it."""
+        path = Path(cli.__file__).with_name(module)
+        with open(path, "rb") as handle:
+            tokens = sum(1 for _token in tokenize.tokenize(handle.readline))
+        assert tokens <= ceiling, f"{module} has {tokens} tokens, over {ceiling}"
 
 
 def launch(argv, unbuffered, stdout=subprocess.PIPE, budget=None):

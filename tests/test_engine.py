@@ -22,6 +22,7 @@ from onlinefair import (
     UnsupportedQuery,
     best_response_search,
     complete_bipartite,
+    complete_minus_even_cycle,
     epsilon_bound,
     exact_utility,
     monte_carlo_estimate,
@@ -1068,6 +1069,53 @@ class TestMonteCarlo:
         result = monte_carlo_estimate(QueryContext(inst, mechanism, known_prefix=known),
                                       samples, seed)
         assert result == naive_monte_carlo(inst, mechanism, samples, seed, prefix)
+
+    @pytest.mark.parametrize("samples", [engine._BATCH - 1, engine._BATCH,
+                                         engine._BATCH + 1, 3 * engine._BATCH + 5])
+    @pytest.mark.parametrize("mechanism", list(Mechanism))
+    @pytest.mark.parametrize("arrival", ["order", "distribution"])
+    @pytest.mark.parametrize("online", [False, True])
+    def test_matches_naive_sampler_across_batches(self, samples, mechanism, arrival,
+                                                  online):
+        # the sampler folds its runs' gains into the totals a batch at a time;
+        # the float sums must still be the run-by-run ones.  Credits such as 1/3
+        # and 2/7 round in binary, and every agent bids on most of the six items,
+        # so one run gives an agent two or more of them: a row summed in another
+        # order, or a batch folded in another order, would differ in the last
+        # bits.  The distribution is 4/5 on its diagonal, so about a quarter of
+        # the runs complete, and its first column leaves a 1/10 residual
+        third, seventh = F(1, 3), F(2, 7)
+        rows = ((third, seventh, F(5, 3), third, F(0), F(1, 7)),
+                (seventh, third, third, F(0), F(3, 7), seventh),
+                (F(1, 7), F(0), seventh, F(2, 3), third, F(4, 9)))
+        if arrival == "order":
+            model = FixedOrder((2, 0, 5, 1, 4, 3))
+        else:
+            off = F(1, 25)
+            model = Distribution(tuple(
+                tuple(F(4, 5) if k == j else off - (F(1, 50) if j == 0 else 0)
+                      for j in range(6)) for k in range(6)))
+        inst = Instance(3, 6, rows, model)
+        prefix = None
+        if online:
+            arrived = (2, 0) if arrival == "order" else (1, 4)
+            prefix = arrived, [{arrived[0]}, set(), {arrived[1]}]
+        known = prefix and (prefix[0],
+                            AllocationState(tuple(map(frozenset, prefix[1])), F(1)))
+        result = monte_carlo_estimate(QueryContext(inst, mechanism, known_prefix=known),
+                                      samples, 29)
+        assert result == naive_monte_carlo(inst, mechanism, samples, 29, prefix)
+        assert 0 < result.voided < samples or arrival == "order" and not result.voided
+
+    @pytest.mark.parametrize("mechanism", list(Mechanism))
+    def test_matches_naive_sampler_on_the_k55_gadget(self, mechanism):
+        # the reduction2 gadget on K55 minus C10: 16 agents and 17 items over
+        # three batches, with one item that only the collector bids on
+        inst = reduction2_instance(complete_minus_even_cycle(5))
+        assert inst.n == 16
+        samples = 2 * engine._BATCH + 77
+        assert monte_carlo_estimate(QueryContext(inst, mechanism), samples, 8) \
+            == naive_monte_carlo(inst, mechanism, samples, 8)
 
     @pytest.mark.parametrize("m", [7, 8])
     @pytest.mark.parametrize("contested", [False, True])
