@@ -59,7 +59,6 @@ from .generators import (
     subset_sum_bc,
 )
 from .manipulation import (
-    DEFAULT_SEARCH_MAX_ITEMS,
     best_response_search,
     exact_manipulation_gain,
     is_strategyproof_on_instance,
@@ -80,8 +79,8 @@ NAMED_GRAPHS = {
 _READS = {
     "query": {"exact": "--item", "necessary": "--threshold!", "possible": "--item"},
     "mode": {"necessary": "--threshold --strict --agent! --deviation!",
-             "exact": "--agent! --deviation!", "best-response": "--agent! --max-items",
-             "strategyproof": "--max-items"},
+             "exact": "--agent! --deviation!", "best-response": "--agent!",
+             "strategyproof": ""},
     "kind": {"reduction1": "--graph --graph-name --full-support",
              "reduction2": "--graph --graph-name",
              "reduction2-manip": "--graph --graph-name",
@@ -246,14 +245,13 @@ def _run_outcome(args) -> dict:
 def _run_manipulate(args) -> dict:
     ctx = _context(args)
     out = {"mode": args.mode, "mechanism": ctx.mechanism.value}
-    cap = DEFAULT_SEARCH_MAX_ITEMS if args.max_items is None else args.max_items
     if args.mode == "strategyproof":
-        out["answer"] = is_strategyproof_on_instance(ctx, cap)
+        out["answer"] = is_strategyproof_on_instance(ctx)
         return out
     agent = _index(args.agent, ctx.instance.n, "agent")
     out["agent"] = args.agent
     if args.mode == "best-response":
-        row, gain = best_response_search(ctx, agent, cap)
+        row, gain = best_response_search(ctx, agent)
         out["best_response_row"] = [format_rational(x) for x in row]
         out["gain"] = format_rational(gain)
         return out
@@ -337,9 +335,10 @@ def _run_sample(args) -> dict:
 
 
 def _add_graph_options(parser):
-    parser.add_argument("--graph", help="bipartite graph JSON file")
-    parser.add_argument("--graph-name", choices=sorted(NAMED_GRAPHS),
-                        help="built-in graph instead of a file")
+    graph = parser.add_mutually_exclusive_group()
+    graph.add_argument("--graph", help="bipartite graph JSON file")
+    graph.add_argument("--graph-name", choices=sorted(NAMED_GRAPHS),
+                       help="built-in graph instead of a file")
 
 
 def _add_outcome(sub):
@@ -372,9 +371,6 @@ def _add_manipulate(sub):
     manipulate.add_argument("--threshold", help="rational gain threshold p/q")
     manipulate.add_argument("--strict", action="store_true",
                             help="require a strictly larger gain")
-    manipulate.add_argument("--max-items", type=int,
-                            help=f"cap on items for exhaustive search "
-                            f"(default {DEFAULT_SEARCH_MAX_ITEMS})")
     manipulate.set_defaults(handler=_run_manipulate)
 
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, InputError, check_indices, parse_rational
+from .core import BudgetExceeded, check_indices, parse_rational
 from .arrivals import _plan
 from .engine import (QueryContext, UnsupportedQuery, _positive_bidders, _step,
                      exact_utility)
@@ -24,8 +24,6 @@ from .mechanisms import packed_sizes
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-DEFAULT_SEARCH_MAX_ITEMS = 12
 
 
 def _utility_under_row(ctx: QueryContext, agent: int, row) -> Fraction:
@@ -72,16 +70,16 @@ def necessary_manipulation(ctx: QueryContext, agent: int, deviation: Sequence,
     return gain > threshold if strict else gain >= threshold
 
 
-def best_response_search(ctx: QueryContext, agent: int,
-                         max_items: int = DEFAULT_SEARCH_MAX_ITEMS,
-                         ) -> tuple[tuple[Fraction, ...], Fraction]:
+def best_response_search(
+        ctx: QueryContext, agent: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Exhaustively search 0/1 bid rows for the agent's best response, the
     other agents bidding ``ctx.bids`` (sincerely when None).
 
     Returns (row, gain over sincere).  Ties break toward the sincere row,
-    then toward the lexicographically smallest 0/1 row.  Refuses more than
-    ``max_items`` items and a known prefix (the search starts from the empty
-    allocation); raises BudgetExceeded past ``ctx.budget`` states.
+    then toward the lexicographically smallest 0/1 row.  Refuses a known
+    prefix (the search starts from the empty allocation); raises
+    BudgetExceeded before any work when the 2^m rows outnumber
+    ``ctx.budget``, and past ``ctx.budget`` frontier states.
 
     The rows are the leaves of a trie over the agent's bits, taken in the
     order the arrival columns first need their items.  A node steps each
@@ -96,11 +94,8 @@ def best_response_search(ctx: QueryContext, agent: int,
     check_indices(instance, agent)
     if ctx.known_prefix is not None:
         raise UnsupportedQuery("best-response search starts from the empty allocation")
-    if max_items < 1:
-        raise InputError(f"the item cap must be positive, not {max_items}")
-    if m > max_items:
-        raise BudgetExceeded(
-            f"best-response search over 2^{m} rows exceeds the {max_items}-item cap")
+    if m >= budget.bit_length():  # 2^m > budget
+        raise BudgetExceeded(f"best-response search needs 2^{m} rows (budget {budget})")
     plan = _plan(instance.arrival, n, budget)
     # bits are decided in ``order``: items by first arrival, then the rest
     order = list(dict.fromkeys([item for _grow, entries in plan[0]
@@ -158,8 +153,7 @@ def best_response_search(ctx: QueryContext, agent: int,
     return true_row, ZERO
 
 
-def is_strategyproof_on_instance(ctx: QueryContext,
-                                 max_items: int = DEFAULT_SEARCH_MAX_ITEMS) -> bool:
+def is_strategyproof_on_instance(ctx: QueryContext) -> bool:
     """True when no agent's best response beats sincere bidding."""
-    return not any(best_response_search(ctx, agent, max_items)[1]
+    return not any(best_response_search(ctx, agent)[1]
                    for agent in range(ctx.instance.n))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from onlinefair import cli
+from onlinefair import cli, manipulation
 from onlinefair.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,6 +61,21 @@ def witness_instance(tmp_path):
         "arrival": {"type": "order", "order": [1, 2, 3]},
     }
     path = tmp_path / "witness.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture
+def six_agent_instance(tmp_path):
+    """Six agents who want every item, three items each arriving at every
+    moment with probability 1/3."""
+    data = {
+        "agents": 6,
+        "items": 3,
+        "utilities": [["1", "1", "1"]] * 6,
+        "arrival": {"type": "distribution", "matrix": [["1/3"] * 3] * 3},
+    }
+    path = tmp_path / "six.json"
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -265,15 +280,6 @@ class TestManipulate:
                        "strategyproof", "--mechanism", "balanced-like")
         assert out["answer"] is False
 
-    @pytest.mark.parametrize("mode", ["best-response", "strategyproof"])
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_non_positive_item_cap(self, capsys, witness_instance, mode, cap):
-        agent = ("--agent", "3") if mode == "best-response" else ()
-        code, _, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
-                               mode, *agent, "--max-items", cap)
-        assert code == 2
-        assert "item cap must be positive" in err
-
     @pytest.mark.parametrize("mode", ["exact", "best-response", "strategyproof"])
     @pytest.mark.parametrize("flags", [("--threshold", "5"), ("--strict",)])
     def test_gain_flags_only_for_necessary(self, capsys, witness_instance, tmp_path,
@@ -304,25 +310,41 @@ class TestManipulate:
         assert code == 2 and out == ""
         assert message in err
 
-    @pytest.mark.parametrize("mode", ["exact", "necessary"])
-    @pytest.mark.parametrize("cap", ["1", "12"])
-    def test_max_items_only_for_searches(self, capsys, witness_instance, tmp_path,
-                                         mode, cap):
-        # the item cap bounds best-response and strategyproof searches only;
-        # the default value, given explicitly, is refused too
+    @pytest.mark.parametrize("mode", ["exact", "necessary", "best-response",
+                                      "strategyproof"])
+    def test_max_items_is_a_usage_error(self, capsys, witness_instance, tmp_path,
+                                        mode):
+        # the budget alone bounds a search: the item cap and its flag are gone
         deviation = tmp_path / "dev.json"
         deviation.write_text(json.dumps(["0", "1", "1"]))
-        code, out, err = run_cli(capsys, "manipulate", witness_instance, "--mode", mode,
-                                 "--agent", "3", "--deviation", str(deviation),
-                                 "--max-items", cap)
-        assert (code, out) == (2, "")
-        assert err == f"error: --max-items is not supported for --mode {mode}\n"
+        flags = {"strategyproof": [], "best-response": ["--agent", "3"]}.get(
+            mode, ["--agent", "3", "--deviation", str(deviation)])
+        with pytest.raises(SystemExit) as stop:
+            main(["manipulate", witness_instance, "--mode", mode, *flags,
+                  "--max-items", "12"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-items 12" in captured.err
 
-    def test_default_item_cap_still_applies(self, capsys, witness_instance):
-        assert run_json(capsys, "manipulate", witness_instance, "--mode",
-                        "best-response", "--agent", "3") \
-            == run_json(capsys, "manipulate", witness_instance, "--mode",
-                        "best-response", "--agent", "3", "--max-items", "12")
+    @pytest.mark.parametrize("mode", ["best-response", "strategyproof"])
+    def test_search_refuses_rows_over_budget(self, capsys, monkeypatch,
+                                             witness_instance, mode):
+        # 2^3 rows: budget 7 refuses before the arrival plan is built, and
+        # budget 8 answers as the default budget does
+        agent = ["--agent", "3"] if mode == "best-response" else []
+        argv = ["manipulate", witness_instance, "--mode", mode, *agent]
+        expected = run_json(capsys, *argv)
+        def no_plan(*_args):
+            raise AssertionError("the search started")
+        with monkeypatch.context() as patch:
+            patch.setattr(manipulation, "_plan", no_plan)
+            patch.setenv("ONLINEFAIR_BUDGET", "7")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: best-response search needs 2^3 rows (budget 7)\n"
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", "8")
+        assert run_json(capsys, *argv) == expected
 
     def test_missing_deviation_file(self, capsys, witness_instance):
         code, _, err = run_cli(capsys, "manipulate", witness_instance,
@@ -537,6 +559,46 @@ class TestOracle:
         assert err.startswith("error: ") and f"is not supported for --kind {kind}" in err
 
 
+class TestGraphOptions:
+    """``--graph`` and ``--graph-name`` exclude each other wherever they are
+    read; either alone answers."""
+
+    KINDS = [("generate", "reduction1"), ("oracle", "count-pm")]
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        """A 2+2 graph with one perfect matching."""
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"left": 2, "right": 2, "edges": [[1, 1], [2, 2]]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command, kind", KINDS)
+    @pytest.mark.parametrize("path", ["FILE", ""])
+    @pytest.mark.parametrize("name_first", [False, True])
+    def test_both_are_a_usage_error(self, capsys, graph, command, kind, path,
+                                    name_first):
+        flags = ["--graph", graph if path else ""]
+        flags = (["--graph-name", "k33", *flags] if name_first
+                 else [*flags, "--graph-name", "k33"])
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--kind", kind, *flags])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, second = ("--graph-name", "--graph") if name_first else (
+            "--graph", "--graph-name")
+        assert f"argument {second}: not allowed with argument {first}" in captured.err
+
+    @pytest.mark.parametrize("command, kind", KINDS)
+    def test_either_alone_answers(self, capsys, graph, command, kind):
+        by_file = run_json(capsys, command, "--kind", kind, "--graph", graph)
+        by_name = run_json(capsys, command, "--kind", kind, "--graph-name", "k33")
+        if command == "oracle":  # one perfect matching, and K33's six
+            assert (by_file["answer"], by_name["answer"]) == (1, 6)
+        else:  # an item per vertex on one side
+            assert (by_file["items"], by_name["items"]) == (2, 3)
+
+
 class TestSample:
     def test_deterministic_output(self, capsys, pair_instance):
         a = run_cli(capsys, "sample", pair_instance, "--mechanism",
@@ -618,19 +680,29 @@ class TestExitCodes:
                              "--agent", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("mode", ["best-response", "strategyproof", "exact"])
-    @pytest.mark.parametrize("budget, code", [("1", 3), ("abc", 2)])
+    @pytest.mark.parametrize("mode, budget, code, tail", [
+        *[(mode, "8", 3, "frontier reached 15 states at moment 1 of 3 (budget 8)")
+          for mode in ("best-response", "strategyproof")],
+        ("exact", "1", 3, "frontier reached 2 states at moment 2 of 3 (budget 1)"),
+        *[(mode, "abc", 2, "ONLINEFAIR_BUDGET must be an integer, got 'abc'")
+          for mode in ("best-response", "strategyproof", "exact")],
+    ])
     def test_manipulate_reads_budget(self, capsys, monkeypatch, tmp_path,
-                                     witness_instance, mode, budget, code):
+                                     witness_instance, six_agent_instance,
+                                     mode, budget, code, tail):
+        # a search needs a budget of at least its 2^3 rows, so its frontier
+        # overflow is shown on the six-agent instance at budget 8
         deviation = tmp_path / "dev.json"
         deviation.write_text(json.dumps(["0", "1", "1"]))
         monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
-        flags = {"best-response": ["--agent", "3"], "strategyproof": [],
-                 "exact": ["--agent", "3", "--deviation", str(deviation)]}[mode]
-        got, _, err = run_cli(capsys, "manipulate", witness_instance, "--mode",
-                              mode, *flags)
-        assert got == code
-        assert ("of 3 (budget 1)" if code == 3 else "ONLINEFAIR_BUDGET") in err
+        argv = {"best-response": [six_agent_instance, "--agent", "1"],
+                "strategyproof": [six_agent_instance],
+                "exact": [witness_instance, "--agent", "3",
+                          "--deviation", str(deviation)]}[mode]
+        got, out, err = run_cli(capsys, "manipulate", argv[0], "--mode", mode,
+                                *argv[1:])
+        assert (got, out) == (code, "")
+        assert err.rstrip().endswith(tail)
 
     def test_byte_identical_reports(self, capsys, pair_instance):
         a = run_cli(capsys, "outcome", pair_instance, "--query", "exact",
@@ -667,7 +739,7 @@ class TestParser:
         ["outcome", "x.json", "--query", "exact", "--mechanism", "like", "--agent", "1",
          "surplus"],
         ["outcome", "x.json", "--que", "exact", "--mechanism", "like", "--agent"],
-        ["manipulate", "x.json", "--mode", "exact", "--max-items", "many"],
+        ["manipulate", "x.json", "--mode", "exact", "--agent", "many"],
         ["manipulate", "x.json", "--mode", "best"],
         ["generate", "--kind", "nope"],
         ["generate", "--kind", "random", "-n"],
@@ -1010,7 +1082,7 @@ class TestStartup:
         assert "onlinefair.cli" in cli
         assert not {"dataclasses", "inspect"} & (cli - bare)
 
-    @pytest.mark.parametrize("module, ceiling", [("engine.py", 3451), ("cli.py", 3633)])
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 3451), ("cli.py", 3585)])
     def test_module_size_ceiling(self, module, ceiling):
         """Every CLI call compiles these modules, so neither may grow past its
         tokenize token count (ENCODING token included) when the ceiling was

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from onlinefair import (
     AllocationState,
     BudgetExceeded,
+    Distribution,
     FixedOrder,
     InputError,
     Instance,
@@ -23,6 +24,7 @@ from onlinefair import (
     reduction3_roles,
     utilities_under_deviation,
 )
+from onlinefair import manipulation
 
 from helpers import (
     hexagon_cycle,
@@ -183,17 +185,37 @@ class TestBestResponse:
         assert row == inst.utilities[2]
         assert gain == F(0)
 
-    def test_budget_exceeded_names_moment(self):
-        # items 0 and 1 are wanted by the searched agent alone; the frontier
-        # first splits at item 2, which agents 0 and 1 tie on
+    def test_budget_exceeded_names_moment(self, monkeypatch):
+        # six agents who want every item, each item arriving at every moment
+        # with probability 1/3: the frontier outgrows budgets of at least the
+        # 2^3 rows until it holds its 45 states
+        inst = Instance(6, 3, ((F(1),) * 3,) * 6, Distribution(((F(1, 3),) * 3,) * 3))
+        for budget, states, moment in ((8, 15, 1), (44, 45, 2)):
+            ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, budget=budget)
+            message = (rf"frontier reached {states} states at moment {moment} of 3 "
+                       rf"\(budget {budget}\)")
+            with pytest.raises(BudgetExceeded, match=message):
+                best_response_search(ctx, 0)
+            with pytest.raises(BudgetExceeded, match=message):
+                is_strategyproof_on_instance(ctx)
+        ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, budget=45)
+        assert best_response_search(ctx, 0) == (inst.utilities[0], F(0))
+        # under Like a fixed-order frontier holds a single state; items 0 and
+        # 1 are wanted by the searched agent alone, and agents 0 and 1 tie on
+        # item 2
         inst = Instance(3, 3, ((F(0), F(0), F(1)), (F(0), F(0), F(1)),
                                (F(1), F(1), F(1))), FixedOrder((0, 1, 2)))
-        with pytest.raises(BudgetExceeded, match=r"at moment 3 of 3 \(budget 1\)"):
-            best_response_search(QueryContext(inst, Mechanism.BALANCED_LIKE, budget=1), 2)
-        # under Like a fixed-order frontier holds a single state
-        like = QueryContext(inst, Mechanism.LIKE, budget=1)
-        assert best_response_search(like, 2) == (inst.utilities[2], F(0))
-        assert is_strategyproof_on_instance(like)
+        sizes, original = [], manipulation._step
+        def step(*args):
+            stepped = original(*args)
+            sizes.append(len(stepped[0]))
+            return stepped
+        with monkeypatch.context() as patch:
+            patch.setattr(manipulation, "_step", step)
+            like = QueryContext(inst, Mechanism.LIKE, budget=8)
+            assert best_response_search(like, 2) == (inst.utilities[2], F(0))
+            assert is_strategyproof_on_instance(like)
+        assert sizes and set(sizes) == {1}
 
     def test_like_is_strategyproof_on_random_instances(self):
         rng = random.Random(55)
@@ -209,10 +231,27 @@ class TestBestResponse:
             assert is_strategyproof_on_instance(
                 QueryContext(inst, Mechanism.BALANCED_LIKE))
 
-    def test_item_cap(self):
-        inst = Instance(1, 3, ((F(1), F(1), F(1)),), FixedOrder((0, 1, 2)))
-        with pytest.raises(BudgetExceeded):
-            best_response_search(QueryContext(inst, Mechanism.LIKE), 0, max_items=2)
+    @pytest.mark.parametrize("mechanism", list(Mechanism))
+    def test_rows_over_budget_refused_before_any_work(self, monkeypatch, mechanism):
+        # 2^3 rows: budget 7 refuses before the arrival plan is built, and
+        # budget 8 answers as the default budget does
+        inst = pinned_witness()
+        expected = [best_response_search(QueryContext(inst, mechanism), agent)
+                    for agent in range(3)]
+        def no_plan(*_args):
+            raise AssertionError("the search started")
+        with monkeypatch.context() as patch:
+            patch.setattr(manipulation, "_plan", no_plan)
+            ctx = QueryContext(inst, mechanism, budget=7)
+            for search in (lambda: best_response_search(ctx, 2),
+                           lambda: is_strategyproof_on_instance(ctx)):
+                with pytest.raises(BudgetExceeded) as refused:
+                    search()
+                assert str(refused.value) == \
+                    "best-response search needs 2^3 rows (budget 7)"
+        ctx = QueryContext(inst, mechanism, budget=8)
+        assert [best_response_search(ctx, agent) for agent in range(3)] == expected
+        assert is_strategyproof_on_instance(ctx) is (mechanism is Mechanism.LIKE)
 
     def test_gain_never_negative(self):
         # sincere is always a candidate, so the search result cannot lose
