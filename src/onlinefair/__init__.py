@@ -12,14 +12,10 @@ from .core import (
     ArrivalModel,
     BudgetExceeded,
     DEFAULT_ENUMERATION_BUDGET,
-    DimensionMismatch,
     Distribution,
     FixedOrder,
     InputError,
     Instance,
-    InvalidDistribution,
-    InvalidOrder,
-    NegativeValue,
     OutcomeReport,
     format_rational,
     instance_from_json_dict,
@@ -28,11 +24,8 @@ from .core import (
     validate_instance,
 )
 from .engine import (
-    InconsistentPrefix,
     MonteCarloEstimate,
-    NoPositiveBranch,
     QueryContext,
-    UnsupportedQuery,
     epsilon_bound,
     exact_utility,
     monte_carlo_estimate,
@@ -45,12 +38,7 @@ from .engine import (
     states_after,
 )
 from .generators import (
-    BadR,
     BipartiteGraph,
-    EmptyGraph,
-    NotSubdivisionShaped,
-    NotThreeRegular,
-    SideMismatch,
     SubsetInstance,
     complete_bipartite,
     complete_minus_even_cycle,

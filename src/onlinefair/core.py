@@ -21,23 +21,8 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 class InputError(ValueError):
-    """Malformed instance data or query parameters.  CLI exit code 2."""
-
-
-class DimensionMismatch(InputError):
-    pass
-
-
-class NegativeValue(InputError):
-    pass
-
-
-class InvalidDistribution(InputError):
-    pass
-
-
-class InvalidOrder(InputError):
-    pass
+    """Malformed input, or a query that does not fit its context (such as a
+    known prefix where none applies).  CLI exit code 2."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -102,11 +87,11 @@ def _rational_matrix(rows, *, what: str) -> tuple[tuple[Fraction, ...], ...]:
     for row in rows:
         out.append(tuple(parse_rational(entry) for entry in row))
     if not out:
-        raise DimensionMismatch(f"{what} matrix is empty")
+        raise InputError(f"{what} matrix is empty")
     width = len(out[0])
     for row in out:
         if len(row) != width:
-            raise DimensionMismatch(f"{what} matrix rows have unequal lengths")
+            raise InputError(f"{what} matrix rows have unequal lengths")
     return tuple(out)
 
 
@@ -169,8 +154,7 @@ class AllocationState(NamedTuple):
 def check_allocation_state(state: AllocationState, n: int, m: int) -> None:
     """Raise InputError unless the state's structural invariants hold."""
     if len(state.bundles) != n:
-        raise DimensionMismatch(
-            f"state has {len(state.bundles)} bundles for {n} agents")
+        raise InputError(f"state has {len(state.bundles)} bundles for {n} agents")
     seen: set[int] = set()
     for bundle in state.bundles:
         for item in bundle:
@@ -219,47 +203,46 @@ def validate_instance(instance: Instance) -> Instance:
     """Check every instance invariant and return a normalized copy.
 
     Utility entries may arrive as ints, strings, or Fractions; the returned
-    instance holds normalized Fractions only.  Raises DimensionMismatch,
-    NegativeValue, InvalidDistribution, or InvalidOrder.
+    instance holds normalized Fractions only.  Raises InputError.
     """
     if instance.n < 1:
-        raise DimensionMismatch(f"need at least one agent, got {instance.n}")
+        raise InputError(f"need at least one agent, got {instance.n}")
     if instance.m < 1:
-        raise DimensionMismatch(f"need at least one item, got {instance.m}")
+        raise InputError(f"need at least one item, got {instance.m}")
 
     utilities = _rational_matrix(instance.utilities, what="utility")
     if len(utilities) != instance.n or len(utilities[0]) != instance.m:
-        raise DimensionMismatch(
+        raise InputError(
             f"utility matrix is {len(utilities)}x{len(utilities[0])}, "
             f"expected {instance.n}x{instance.m}")
     for row in utilities:
         for entry in row:
             if entry < 0:
-                raise NegativeValue(f"negative utility {entry}")
+                raise InputError(f"negative utility {entry}")
 
     arrival = instance.arrival
     if isinstance(arrival, FixedOrder):
         order = tuple(arrival.order)
         if sorted(order) != list(range(instance.m)):
-            raise InvalidOrder(
+            raise InputError(
                 f"order {order} is not a permutation of 0..{instance.m - 1}")
         arrival = FixedOrder(order)
     elif isinstance(arrival, Distribution):
         matrix = _rational_matrix(arrival.matrix, what="arrival")
         if len(matrix) != instance.m or len(matrix[0]) != instance.m:
-            raise DimensionMismatch(
+            raise InputError(
                 f"arrival matrix is {len(matrix)}x{len(matrix[0])}, "
                 f"expected {instance.m}x{instance.m}")
         for row in matrix:
             for entry in row:
                 if entry < 0:
-                    raise NegativeValue(f"negative arrival probability {entry}")
+                    raise InputError(f"negative arrival probability {entry}")
                 if entry > 1:
-                    raise InvalidDistribution(f"arrival probability {entry} > 1")
+                    raise InputError(f"arrival probability {entry} > 1")
         for j in range(instance.m):
             mass = sum((row[j] for row in matrix), Fraction(0))
             if mass > 1:
-                raise InvalidDistribution(
+                raise InputError(
                     f"column {j + 1} of the arrival matrix sums to {mass} > 1")
         arrival = Distribution(matrix)
     else:
@@ -331,15 +314,15 @@ def instance_from_json_dict(data: dict) -> Instance:
     if kind == "order":
         order = arrival_data.get("order")
         if not isinstance(order, list):
-            raise InvalidOrder("arrival order must be a list")
+            raise InputError("arrival order must be a list")
         for k in order:
             if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= m:
-                raise InvalidOrder(f"order entry {k!r} out of range 1..{m}")
+                raise InputError(f"order entry {k!r} out of range 1..{m}")
         arrival: ArrivalModel = FixedOrder(tuple(k - 1 for k in order))
     elif kind == "distribution":
         matrix = arrival_data.get("matrix")
         if not isinstance(matrix, list):
-            raise InvalidDistribution("arrival matrix must be a list of rows")
+            raise InputError("arrival matrix must be a list of rows")
         arrival = Distribution(tuple(
             tuple(parse_rational(p) for p in json_list(row, "arrival matrix row"))
             for row in matrix))

@@ -74,11 +74,9 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
     BudgetExceeded,
-    DimensionMismatch,
     FixedOrder,
     InputError,
     Instance,
-    NegativeValue,
     OutcomeReport,
     check_allocation_state,
     check_indices,
@@ -88,20 +86,6 @@ from .mechanisms import Mechanism, feasible_for_counts, packed_sizes
 
 ZERO = Fraction(0)
 _BATCH = 128  # runs per fold of the sampler's gains into its totals
-
-
-class UnsupportedQuery(InputError):
-    """The operation does not apply to this context (a missing or
-    unexpected known prefix)."""
-
-
-class InconsistentPrefix(InputError):
-    pass
-
-
-class NoPositiveBranch(InputError):
-    """The agent's probability is identically zero, so no positive lower
-    bound exists."""
 
 
 class QueryContext(NamedTuple):
@@ -128,11 +112,11 @@ def _positive_bidders(ctx: QueryContext):
     means nonzero."""
     rows = ctx.instance.utilities if ctx.bids is None else ctx.bids
     if len(rows) != ctx.instance.n or any(len(r) != ctx.instance.m for r in rows):
-        raise DimensionMismatch("bid profile does not match the instance")
+        raise InputError("bid profile does not match the instance")
     for row in rows:
         for entry in row:
             if entry < 0:
-                raise NegativeValue(f"negative bid {entry}")
+                raise InputError(f"negative bid {entry}")
     return tuple(tuple(i for i, bid in enumerate(column) if bid)
                  for column in zip(*rows))
 
@@ -144,14 +128,14 @@ def _checked_prefix(ctx: QueryContext):
     n, m, _utilities, arrival = ctx.instance
     check_allocation_state(state, n, m)
     if len(set(arrived)) != len(arrived):
-        raise InconsistentPrefix("an item arrived twice in the prefix")
+        raise InputError("an item arrived twice in the prefix")
     for item in arrived:
         if not 0 <= item < m:
-            raise InconsistentPrefix(f"arrived item {item} out of range")
+            raise InputError(f"arrived item {item} out of range")
     if not state.allocated_items() <= set(arrived):
-        raise InconsistentPrefix("state allocates an item that never arrived")
+        raise InputError("state allocates an item that never arrived")
     if isinstance(arrival, FixedOrder) and arrived != arrival.order[:len(arrived)]:
-        raise InconsistentPrefix("arrived items are not a prefix of the fixed order")
+        raise InputError("arrived items are not a prefix of the fixed order")
     return arrived, state
 
 
@@ -300,7 +284,7 @@ def _next_moment(ctx: QueryContext):
     With every item arrived there is no next moment, and the one state is
     the prefix's own."""
     if ctx.known_prefix is None:
-        raise UnsupportedQuery("online queries need a known prefix")
+        raise InputError("online queries need a known prefix")
     arrived, state = ctx.known_prefix
     return state, states_after(ctx, min(1, ctx.instance.m - len(arrived)))[0]
 
@@ -341,7 +325,7 @@ def outcome_report(ctx: QueryContext) -> OutcomeReport:
     Known-prefix contexts are served by the online queries instead.
     """
     if ctx.known_prefix is not None:
-        raise UnsupportedQuery(
+        raise InputError(
             "known-prefix contexts use online_utilities / next_item_probability")
     n, m, utilities, arrival = ctx.instance
     positive = _positive_bidders(ctx)
@@ -413,14 +397,16 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     entries and at most m uniform shares of 1/f with f <= n, so the product
     of each moment's smallest positive arrival entry times (1/n)^m bounds
     every positive branch from below.  A conservative bound, never zero.
+    Raises InputError when no positive branch exists: the agent bids
+    positively on nothing, or no item ever arrives.
     """
     check_indices(ctx.instance, agent)
     if not any(agent in bidders for bidders in _positive_bidders(ctx)):
-        raise NoPositiveBranch(f"agent {agent} bids positively on nothing")
+        raise InputError(f"agent {agent} bids positively on nothing")
     floors = [Fraction(min(a for _item, _bit, a in column), q)
               for q, column in _columns(ctx.instance.arrival) if column]
     if not floors:
-        raise NoPositiveBranch("no item ever arrives under this distribution")
+        raise InputError("no item ever arrives under this distribution")
     return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m
 
 

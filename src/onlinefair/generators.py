@@ -35,26 +35,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class SideMismatch(InputError):
-    pass
-
-
-class NotThreeRegular(InputError):
-    pass
-
-
-class NotSubdivisionShaped(InputError):
-    pass
-
-
-class BadR(InputError):
-    pass
-
-
-class EmptyGraph(InputError):
-    pass
-
-
 class BipartiteGraph(NamedTuple):
     """A bipartite graph on ``left`` + ``right`` vertices, 0-based.
 
@@ -182,7 +162,7 @@ def count_perfect_matchings(g: BipartiteGraph,
     matrix, computed by inclusion-exclusion over column subsets.  Raises
     BudgetExceeded when the 2^left subsets outnumber ``budget``."""
     if g.left != g.right:
-        raise SideMismatch(
+        raise InputError(
             f"perfect matchings need equal sides, got {g.left} and {g.right}")
     n = g.left
     if n >= budget.bit_length():  # 2^n > budget
@@ -212,7 +192,7 @@ def min_maximal_matching_size(g: BipartiteGraph,
     """
     edges = sorted(g.edges)
     if not edges:
-        raise EmptyGraph("the graph has no edges")
+        raise InputError("the graph has no edges")
     best = len(edges) + 1
     nodes = 0
     # depth first on an explicit stack, taking each edge before skipping it
@@ -306,8 +286,7 @@ def reduction1_instance(g: BipartiteGraph, edge_restricted: bool = True) -> Inst
     1/M everywhere instead.
     """
     if g.left != g.right:
-        raise SideMismatch(
-            f"need equal sides, got {g.left} items and {g.right} moments")
+        raise InputError(f"need equal sides, got {g.left} items and {g.right} moments")
     return _two_uniform_agents((ONE,) * g.left,
                                g.edges if edge_restricted else None)
 
@@ -323,7 +302,7 @@ def _matching_gadget(g: BipartiteGraph, decoy: bool) -> Instance:
     arrives last.
     """
     if g.left != g.right or not g.is_regular(3):
-        raise NotThreeRegular("the graph must be 3-regular with equal sides")
+        raise InputError("the graph must be 3-regular with equal sides")
     n = g.left
     items = 3 * n + 2 + decoy
     liked = [(v, n + 2 * i, n + 2 * i + 1, items - 1)
@@ -378,11 +357,11 @@ def reduction3_instance(g: BipartiteGraph, r: int) -> Instance:
     reaches 1/M exactly when the challenger cannot.
     """
     if not g.is_subdivision_shaped():
-        raise NotSubdivisionShaped(
+        raise InputError(
             "need left degrees exactly 2, right degrees <= 3, left side at "
             "least as large as right, and distinct left neighborhoods")
     if not 1 <= r <= g.left:
-        raise BadR(f"r must be within 1..{g.left}")
+        raise InputError(f"r must be within 1..{g.left}")
     roles = reduction3_roles(g, r)
     opener, bridge, closer = (roles["opener_items"], roles["bridge_items"],
                               roles["closer_items"])

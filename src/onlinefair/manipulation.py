@@ -16,9 +16,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, check_indices, parse_rational
+from .core import BudgetExceeded, InputError, check_indices, parse_rational
 from .arrivals import _plan
-from .engine import (QueryContext, UnsupportedQuery, _positive_bidders, _step,
+from .engine import (QueryContext, _positive_bidders, _step,
                      exact_utility)
 from .mechanisms import packed_sizes
 
@@ -93,7 +93,7 @@ def best_response_search(
     n, m = instance.n, instance.m
     check_indices(instance, agent)
     if ctx.known_prefix is not None:
-        raise UnsupportedQuery("best-response search starts from the empty allocation")
+        raise InputError("best-response search starts from the empty allocation")
     if m >= budget.bit_length():  # 2^m > budget
         raise BudgetExceeded(f"best-response search needs 2^{m} rows (budget {budget})")
     plan = _plan(instance.arrival, n, budget)

@@ -25,6 +25,11 @@ from onlinefair import (
 
 F = Fraction
 
+#: The ends of the two messages ``epsilon_bound`` raises when an agent has no
+#: positive branch: the agent bids positively on nothing, or nothing arrives.
+NO_POSITIVE_BRANCH = ("bids positively on nothing",
+                      "no item ever arrives under this distribution")
+
 
 def feasible_likers(mechanism, counts, likers):
     if not likers:

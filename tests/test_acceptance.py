@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from onlinefair import (
     FixedOrder,
+    InputError,
     Instance,
     Mechanism,
     QueryContext,
@@ -39,10 +40,10 @@ from onlinefair import (
     reduction3_roles,
     states_after,
     utilities_under_deviation,
-    NoPositiveBranch,
 )
 
 from helpers import (
+    NO_POSITIVE_BRANCH,
     exact_variance,
     naive_distribution_outcome,
     naive_fixed_order_outcome,
@@ -253,7 +254,9 @@ def test_10_epsilon_floors_every_positive_branch():
             for agent in range(inst.n):
                 try:
                     eps = epsilon_bound(ctx, agent)
-                except NoPositiveBranch:
+                except InputError as exc:
+                    if not str(exc).endswith(NO_POSITIVE_BRANCH):
+                        raise
                     continue
                 ok = ok and eps > 0
                 for depth in range(inst.m):

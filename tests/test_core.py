@@ -1,20 +1,21 @@
+import importlib
+import pkgutil
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import onlinefair
 from onlinefair import (
     DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
-    DimensionMismatch,
+    BudgetExceeded,
     Distribution,
     FixedOrder,
     InputError,
     Instance,
-    InvalidDistribution,
-    InvalidOrder,
     Mechanism,
-    NegativeValue,
     OutcomeReport,
     QueryContext,
     SubsetInstance,
@@ -64,29 +65,32 @@ class TestValidation:
         assert inst.utilities == ((F(1, 2), F(3)),)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InputError,
+                           match=re.escape("order (0, 0) is not a permutation of 0..1")):
             validate_instance(two_agent_instance(FixedOrder((0, 0))))
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InputError,
+                           match=re.escape("order (0,) is not a permutation of 0..1")):
             validate_instance(two_agent_instance(FixedOrder((0,))))
 
     def test_rejects_negative_utility(self):
         inst = Instance(1, 1, ((F(-1),),), FixedOrder((0,)))
-        with pytest.raises(NegativeValue):
+        with pytest.raises(InputError, match="negative utility -1"):
             validate_instance(inst)
 
     def test_rejects_wrong_shape(self):
         inst = Instance(2, 2, ((F(1), F(1)),), FixedOrder((0, 1)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="utility matrix is 1x2, expected 2x2"):
             validate_instance(inst)
 
     def test_rejects_overweight_column(self):
         matrix = ((F(1), F(0)), (F(1, 2), F(1)))
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InputError,
+                           match="column 1 of the arrival matrix sums to 3/2 > 1"):
             validate_instance(two_agent_instance(Distribution(matrix)))
 
     def test_rejects_entry_above_one(self):
         matrix = ((F(3, 2), F(0)), (F(0), F(0)))
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InputError, match="arrival probability 3/2 > 1"):
             validate_instance(two_agent_instance(Distribution(matrix)))
 
     def test_accepts_subunit_columns(self):
@@ -209,3 +213,15 @@ class TestRecords:
         assert start.counts == (0, 0, 0)
         state = AllocationState((frozenset({0, 2}), frozenset()), F(1))
         assert state.counts == (2, 0)
+
+
+def test_one_error_type_per_exit_code():
+    """The package defines exactly two exception types: InputError (CLI exit
+    2) and BudgetExceeded (CLI exit 3)."""
+    defined = set()
+    for info in pkgutil.iter_modules(onlinefair.__path__, "onlinefair."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__.startswith("onlinefair")):
+                defined.add(value)
+    assert defined == {InputError, BudgetExceeded}

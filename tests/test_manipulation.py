@@ -13,7 +13,6 @@ from onlinefair import (
     Instance,
     Mechanism,
     QueryContext,
-    UnsupportedQuery,
     best_response_search,
     exact_manipulation_gain,
     exact_utility,
@@ -329,9 +328,10 @@ class TestKnownPrefix:
 
     def test_search_and_strategyproof_check_refuse_a_prefix(self):
         ctx = self.prefix_context()
-        with pytest.raises(UnsupportedQuery, match="empty allocation"):
+        refusal = "best-response search starts from the empty allocation"
+        with pytest.raises(InputError, match=refusal):
             best_response_search(ctx, 2)
-        with pytest.raises(UnsupportedQuery, match="empty allocation"):
+        with pytest.raises(InputError, match=refusal):
             is_strategyproof_on_instance(ctx)
 
     def test_deviation_is_priced_in_the_online_setting(self):
