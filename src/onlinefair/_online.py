@@ -1,0 +1,93 @@
+"""The owner-level view and the online (known prefix) setting: the bodies of
+``engine.states_after``, ``engine.next_item_probability``,
+``engine.online_utilities`` and ``engine.epsilon_bound``, whose docstrings
+describe them.  A call loads this module when it first needs one of them.
+
+``states_after``, the one owner-level view for every arrival model, with or
+without a known prefix, steps the count-state kernel's frontier with one
+bundle mask per agent packed above the sizes, and takes its void mass as
+the complement of the surviving mass; the online queries are one
+``states_after`` step from the known prefix.  It steps through
+``engine._step``, so each feasible set it computes is a call of
+``engine.feasible_for_counts``, as in the kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from . import engine
+from .core import AllocationState, InputError, check_indices
+from .arrivals import _columns, _scaled_columns
+from .engine import ZERO, _checked_prefix, _positive_bidders
+from .mechanisms import packed_sizes
+
+
+def states_after(ctx, moments):
+    n, m, _utilities, arrival = ctx.instance
+    if ctx.known_prefix is None:
+        arrived, bundles = (), ((),) * n
+    else:
+        arrived, state = _checked_prefix(ctx)
+        bundles = state.bundles
+    remaining = m - len(arrived)
+    if not 0 <= moments <= remaining:
+        raise InputError(f"moments must be within 0..{remaining}")
+    positive = _positive_bidders(ctx)
+    base, units, masks, tags = packed_sizes(ctx.mechanism, n, m, positive)
+    shifts = [n * (base.bit_length() - 1) + m * i for i in reversed(range(n))]
+    owners = [1 << shift for shift in shifts]
+    start = sum(len(bundle) * unit + sum(owner << k for k in bundle)
+                for bundle, unit, owner in zip(bundles, units, owners))
+    layout = base, units, masks, tags, owners
+    plan = _scaled_columns(_columns(arrival), n), None, 1
+    frontier, scale, memo = {(sum(1 << k for k in arrived), start): 1}, 1, {}
+    for moment in range(len(arrived), len(arrived) + moments):
+        frontier, scale, *_ = engine._step(frontier, scale, moment, plan, positive, layout,
+                                           memo, ctx.mechanism, ctx.budget)
+    void = 1 - Fraction(sum(frontier.values()), scale)
+    full = (1 << m) - 1
+    held = {packed: [packed >> shift & full for shift in shifts]
+            for _mask, packed in frontier}
+    items = {mask: frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+             for mask in {key[0] for key in frontier}.union(*held.values())}.__getitem__
+    return [(items(mask), AllocationState(tuple(map(items, held[packed])),
+                                          Fraction(value, scale)))
+            for (mask, packed), value in sorted(frontier.items())], void
+
+
+def _next_moment(ctx):
+    """(the known prefix's state, the owner-level states one moment later).
+    With every item arrived there is no next moment, and the one state is
+    the prefix's own."""
+    if ctx.known_prefix is None:
+        raise InputError("online queries need a known prefix")
+    arrived, state = ctx.known_prefix
+    return state, states_after(ctx, min(1, ctx.instance.m - len(arrived)))[0]
+
+
+def next_item_probability(ctx):
+    state, successors = _next_moment(ctx)
+    held = state.counts
+    return tuple(sum((after.probability for _arrived, after in successors
+                      if len(after.bundles[i]) > held[i]), ZERO)
+                 for i in range(ctx.instance.n))
+
+
+def online_utilities(ctx):
+    nxt = next_item_probability(ctx)
+    state = ctx.known_prefix[1]
+    return tuple(state.utility_of(i, ctx.instance.utilities) + p
+                 for i, p in enumerate(nxt))
+
+
+def epsilon_bound(ctx, agent):
+    check_indices(ctx.instance, agent)
+    if not any(agent in bidders for bidders in _positive_bidders(ctx)):
+        raise InputError(f"agent {agent} bids positively on nothing")
+    floors = [Fraction(min(a for _item, _bit, a in column), q)
+              for q, column in _columns(ctx.instance.arrival) if column]
+    if not floors:
+        raise InputError("no item ever arrives under this distribution")
+    return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m

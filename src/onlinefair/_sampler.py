@@ -1,0 +1,124 @@
+"""The Monte Carlo sampler: the body of ``engine.monte_carlo_estimate``,
+whose docstring describes it.  Only a ``sample`` call loads this module.
+
+The sampler, the engine's other loop besides ``_step``, draws every
+uncertain column once per sample by bisecting its cumulative probabilities
+and each winner from raw random bits, consuming the generator exactly as
+``randrange`` would, and reports each agent's standard error and the voided
+runs with its means.  Before the first run it builds one step per item (the
+feasible set when no size can change it, else a memo of its own; the item's
+bidders and credit column), and a run places the steps its columns landed
+on.  It keeps a run's bundle sizes packed in one int, and each item's memo
+is keyed on just that item's bidders' size fields, since every run revisits
+the same few; under Like, or with fewer than two bidders, the feasible set
+reads no size and is resolved once before the runs.  A memo miss computes
+its feasible set through ``engine.feasible_for_counts``, the module global
+the kernel reads too.  A drawn column's no-arrival residual carries the
+sentinel bit ``1 << m``, set in every run's arrived mask, so one mask test
+finds every void draw.  A run's gains are kept as a row, and each batch of
+rows is folded into the per-agent totals and squares with
+``functools.reduce``, run by run, so the float sums stay those of a
+run-by-run loop.  A fold skips the zero gains: gains are never negative, so
+a total is never -0.0, and adding 0.0 to it leaves every bit as it was.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
+
+from . import engine
+from .core import BudgetExceeded, InputError
+from .arrivals import _columns
+from .engine import _BATCH, MonteCarloEstimate, _checked_prefix, _positive_bidders
+from .mechanisms import packed_sizes
+
+
+def monte_carlo_estimate(ctx, samples, seed):
+    if samples < 1:
+        raise InputError("samples must be positive")
+    n, m, utilities, arrival = ctx.instance
+    positive = _positive_bidders(ctx)
+    columns = _columns(arrival)
+    base, units, masks, _tags = packed_sizes(ctx.mechanism, n, m, positive)
+    arrived, start, held = (), 0, [0.0] * n
+    credit = [list(map(float, column)) for column in zip(*utilities)]
+    if ctx.known_prefix is not None:
+        arrived, state = _checked_prefix(ctx)
+        start = sum(map(mul, state.counts, units))
+        columns = columns[len(arrived):][:1]
+        held = [float(state.utility_of(i, utilities)) for i in range(n)]
+        credit = [[1.0] * n] * m
+    if not columns:  # nothing left to draw, so every run adds nothing
+        return MonteCarloEstimate(held, [0.0] * n, 0)
+    if samples > ctx.budget:
+        raise BudgetExceeded(f"{samples} samples exceed the budget {ctx.budget}")
+
+    def resolve(packed, bidders):
+        feas = engine.feasible_for_counts(
+            ctx.mechanism, [packed // unit % base for unit in units if unit], bidders)
+        return len(feas), len(feas).bit_length(), feas
+    steps = [(resolve(0, bidders) if not field or len(bidders) < 2 else None,
+              field, {}, bidders, column)
+             for bidders, field, column in zip(positive, masks, credit)]
+    void = 1 << m  # the residual's sentinel bit, set in every run's mask
+    fixed_mask = void | sum(1 << item for item in arrived)
+    sequence = [None] * len(columns)
+    draws = []
+    for moment, (q, column) in enumerate(columns):
+        if len(column) == 1 and column[0][2] == q and not fixed_mask & column[0][1]:
+            fixed_mask |= column[0][1]
+            sequence[moment] = steps[column[0][0]]
+        else:
+            draws.append((moment, list(accumulate(a / q for _item, _bit, a in column)),
+                          [(bit, steps[item]) for item, bit, _a in column] + [(void, None)]))
+    rng = random.Random(seed)
+    draw, bits = rng.random, rng.getrandbits
+    room, totals, squares, voided = ctx.budget, [0.0] * n, [0.0] * n, 0
+    for batch in range(0, samples, _BATCH):
+        rows = []
+        for _ in range(min(_BATCH, samples - batch)):
+            mask = fixed_mask
+            for moment, cumulative, table in draws:
+                bit, step = table[bisect_right(cumulative, draw())]
+                if mask & bit:
+                    voided += 1
+                    break
+                mask |= bit
+                sequence[moment] = step
+            else:
+                packed, gains = start, [0.0] * n
+                for hit, field, memo, bidders, column in sequence:
+                    if hit is None:
+                        key = packed & field
+                        try:
+                            hit = memo[key]
+                        except KeyError:
+                            hit = resolve(packed, bidders)
+                            if room:
+                                room -= 1
+                                memo[key] = hit
+                    f, k, feas = hit
+                    if f:
+                        r = bits(k) if f > 1 else 0
+                        while r >= f:
+                            r = bits(k)
+                        winner = feas[r]
+                        packed += units[winner]
+                        gains[winner] += column[winner]
+                rows.append(gains)
+        for a, column in enumerate(zip(*rows)):
+            column = [*filter(None, column)]  # a zero gain adds nothing
+            totals[a] = reduce(add, column, totals[a])
+            squares[a] = reduce(add, map(mul, column, column), squares[a])
+    means = [total / samples for total in totals]
+    return MonteCarloEstimate(
+        list(map(add, held, means)),
+        # the sample variance, from the mean square, is over samples - 1
+        [math.sqrt(max(0.0, square / samples - mean * mean) / max(samples - 1, 1))
+         for square, mean in zip(squares, means)],
+        voided)

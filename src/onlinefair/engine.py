@@ -18,12 +18,11 @@ holding the fewest items, so the packed int holds the bundle sizes; Like
 keeps none (one state per moment under a fixed ordering).  The count-state
 kernel behind ``outcome_report`` and the best-response search step that
 frontier and add each item's allocation probability while it is placed.
-``states_after``, the one owner-level view for every arrival model, with or
-without a known prefix, steps the same frontier with one bundle mask per
-agent packed above the sizes, and takes its void mass as the complement of
-the surviving mass; the online queries are one ``states_after`` step from
-the known prefix.  An item's feasible set depends only on the item and its
-positive bidders' sizes, so ``_step`` looks it up in a memo keyed on those
+The owner-level view and the online queries (``_online.py``) step it too,
+and the Monte Carlo sampler (``_sampler.py``) is the other loop; each of
+these bodies is loaded on its first call, so a call compiles only what it
+runs.  An item's feasible set depends only on the item and its positive
+bidders' sizes, so ``_step`` looks it up in a memo keyed on those
 (``mechanisms.packed_sizes``) that lives for a whole run or search and
 stops growing at the budget.  The frontier's values are Python ints over
 one per-frontier scale: a moment multiplies the scale by its column's lcm
@@ -32,22 +31,6 @@ over f feasible agents is the exact int ``a * (L // f)``, and dividing out
 the gcd after every moment keeps the frontier in lowest terms.  Completion
 factors are ints over one common denominator, and the credits of a moment
 become one ``Fraction`` per (agent, item), so every answer is still exact.
-The Monte Carlo sampler, the other loop, draws every uncertain column once
-per sample by bisecting its cumulative probabilities and each winner from
-raw random bits, consuming the generator exactly as ``randrange`` would, and
-reports each agent's standard error and the voided runs with its means.
-Before the first run it builds one step per item (the feasible set when no
-size can change it, else a memo of its own; the item's bidders and credit
-column), and a run places the steps its columns landed on.  It keeps a run's
-bundle sizes packed in one int, and each item's memo is keyed on just that
-item's bidders' size fields, since every run revisits the same few; under
-Like, or with fewer than two bidders, the feasible set reads no size and is
-resolved once before the runs.  A drawn column's no-arrival residual carries
-the sentinel bit ``1 << m``, set in every run's arrived mask, so one mask
-test finds every void draw.  A run's gains are kept as a row, and each batch
-of rows is folded into the per-agent totals and squares with
-``functools.reduce``, run by run, so the float sums stay those of a
-run-by-run loop.
 Possibility is positivity of the exact answer, and necessity is a threshold
 on it.
 
@@ -62,12 +45,7 @@ arrived items.
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
-from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -81,7 +59,7 @@ from .core import (
     check_allocation_state,
     check_indices,
 )
-from .arrivals import _columns, _plan, _scaled_columns
+from .arrivals import _plan
 from .mechanisms import Mechanism, feasible_for_counts, packed_sizes
 
 ZERO = Fraction(0)
@@ -244,49 +222,11 @@ def states_after(ctx: QueryContext, moments: int):
     mask: sharing them leaves far fewer live containers for cyclic garbage
     collection to scan.
     """
-    n, m, _utilities, arrival = ctx.instance
-    if ctx.known_prefix is None:
-        arrived, bundles = (), ((),) * n
-    else:
-        arrived, state = _checked_prefix(ctx)
-        bundles = state.bundles
-    remaining = m - len(arrived)
-    if not 0 <= moments <= remaining:
-        raise InputError(f"moments must be within 0..{remaining}")
-    positive = _positive_bidders(ctx)
-    base, units, masks, tags = packed_sizes(ctx.mechanism, n, m, positive)
-    shifts = [n * (base.bit_length() - 1) + m * i for i in reversed(range(n))]
-    owners = [1 << shift for shift in shifts]
-    start = sum(len(bundle) * unit + sum(owner << k for k in bundle)
-                for bundle, unit, owner in zip(bundles, units, owners))
-    layout = base, units, masks, tags, owners
-    plan = _scaled_columns(_columns(arrival), n), None, 1
-    frontier, scale, memo = {(sum(1 << k for k in arrived), start): 1}, 1, {}
-    for moment in range(len(arrived), len(arrived) + moments):
-        frontier, scale, *_ = _step(frontier, scale, moment, plan, positive, layout, memo,
-                                    ctx.mechanism, ctx.budget)
-    void = 1 - Fraction(sum(frontier.values()), scale)
-    full = (1 << m) - 1
-    held = {packed: [packed >> shift & full for shift in shifts]
-            for _mask, packed in frontier}
-    items = {mask: frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
-             for mask in {key[0] for key in frontier}.union(*held.values())}.__getitem__
-    return [(items(mask), AllocationState(tuple(map(items, held[packed])),
-                                          Fraction(value, scale)))
-            for (mask, packed), value in sorted(frontier.items())], void
+    from ._online import states_after
+    return states_after(ctx, moments)
 
 
 # --- the online (known prefix) setting ---------------------------------------
-
-
-def _next_moment(ctx: QueryContext):
-    """(the known prefix's state, the owner-level states one moment later).
-    With every item arrived there is no next moment, and the one state is
-    the prefix's own."""
-    if ctx.known_prefix is None:
-        raise InputError("online queries need a known prefix")
-    arrived, state = ctx.known_prefix
-    return state, states_after(ctx, min(1, ctx.instance.m - len(arrived)))[0]
 
 
 def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
@@ -296,20 +236,15 @@ def next_item_probability(ctx: QueryContext) -> tuple[Fraction, ...]:
     agent's probability is the mass of the successors in which its bundle
     grew.
     """
-    state, successors = _next_moment(ctx)
-    held = state.counts
-    return tuple(sum((after.probability for _arrived, after in successors
-                      if len(after.bundles[i]) > held[i]), ZERO)
-                 for i in range(ctx.instance.n))
+    from ._online import next_item_probability
+    return next_item_probability(ctx)
 
 
 def online_utilities(ctx: QueryContext) -> tuple[Fraction, ...]:
     """Per-agent utility at the next moment: value already held plus the
     probability of winning the next arrival."""
-    nxt = next_item_probability(ctx)
-    state = ctx.known_prefix[1]
-    return tuple(state.utility_of(i, ctx.instance.utilities) + p
-                 for i, p in enumerate(nxt))
+    from ._online import online_utilities
+    return online_utilities(ctx)
 
 
 # --- dispatching queries ------------------------------------------------------
@@ -384,6 +319,7 @@ def possible_item(ctx: QueryContext, agent: int, item: int) -> bool:
     check_indices(ctx.instance, agent, item)
     if ctx.known_prefix is None:
         return outcome_report(ctx).allocation_probability[agent][item] > 0
+    from ._online import _next_moment
     state, successors = _next_moment(ctx)
     return item in state.bundles[agent] or any(
         item in after.bundles[agent] for _arrived, after in successors)
@@ -400,14 +336,8 @@ def epsilon_bound(ctx: QueryContext, agent: int) -> Fraction:
     Raises InputError when no positive branch exists: the agent bids
     positively on nothing, or no item ever arrives.
     """
-    check_indices(ctx.instance, agent)
-    if not any(agent in bidders for bidders in _positive_bidders(ctx)):
-        raise InputError(f"agent {agent} bids positively on nothing")
-    floors = [Fraction(min(a for _item, _bit, a in column), q)
-              for q, column in _columns(ctx.instance.arrival) if column]
-    if not floors:
-        raise InputError("no item ever arrives under this distribution")
-    return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m
+    from ._online import epsilon_bound
+    return epsilon_bound(ctx, agent)
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -475,90 +405,11 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     own, with no list built per run.  ``sum()`` would not do, because from
     Python 3.12 it sums floats with compensated rounding, and neither would
     ``math.fsum``; both give other last bits.  Void runs add no row, as they
-    add nothing in a run-by-run loop.  ``_BATCH`` is 128 because the rows
-    held between folds raise the peak resident set: on the K55-C10 gadget
-    (16 agents) a batch of 512 cost a call about 0.36 MB, 128 nothing
-    measurable, and the speed was the same.
+    add nothing in a run-by-run loop, and a fold skips zero gains: a total
+    is never -0.0, and adding 0.0 to it changes no bit.  ``_BATCH`` is 128
+    because the rows held between folds raise the peak resident set: on the
+    K55-C10 gadget (16 agents) a batch of 512 cost a call about 0.36 MB, 128
+    nothing measurable, and the speed was the same.
     """
-    if samples < 1:
-        raise InputError("samples must be positive")
-    n, m, utilities, arrival = ctx.instance
-    positive = _positive_bidders(ctx)
-    columns = _columns(arrival)
-    base, units, masks, _tags = packed_sizes(ctx.mechanism, n, m, positive)
-    arrived, start, held = (), 0, [0.0] * n
-    credit = [list(map(float, column)) for column in zip(*utilities)]
-    if ctx.known_prefix is not None:
-        arrived, state = _checked_prefix(ctx)
-        start = sum(map(mul, state.counts, units))
-        columns = columns[len(arrived):][:1]
-        held = [float(state.utility_of(i, utilities)) for i in range(n)]
-        credit = [[1.0] * n] * m
-    if not columns:  # nothing left to draw, so every run adds nothing
-        return MonteCarloEstimate(held, [0.0] * n, 0)
-    if samples > ctx.budget:
-        raise BudgetExceeded(f"{samples} samples exceed the budget {ctx.budget}")
-
-    def resolve(packed, bidders):
-        feas = feasible_for_counts(
-            ctx.mechanism, [packed // unit % base for unit in units if unit], bidders)
-        return len(feas), len(feas).bit_length(), feas
-    steps = [(resolve(0, bidders) if not field or len(bidders) < 2 else None,
-              field, {}, bidders, column)
-             for bidders, field, column in zip(positive, masks, credit)]
-    void = 1 << m  # the residual's sentinel bit, set in every run's mask
-    fixed_mask = void | sum(1 << item for item in arrived)
-    sequence = [None] * len(columns)
-    draws = []
-    for moment, (q, column) in enumerate(columns):
-        if len(column) == 1 and column[0][2] == q and not fixed_mask & column[0][1]:
-            fixed_mask |= column[0][1]
-            sequence[moment] = steps[column[0][0]]
-        else:
-            draws.append((moment, list(accumulate(a / q for _item, _bit, a in column)),
-                          [(bit, steps[item]) for item, bit, _a in column] + [(void, None)]))
-    rng = random.Random(seed)
-    draw, bits = rng.random, rng.getrandbits
-    room, totals, squares, voided = ctx.budget, [0.0] * n, [0.0] * n, 0
-    for batch in range(0, samples, _BATCH):
-        rows = []
-        for _ in range(min(_BATCH, samples - batch)):
-            mask = fixed_mask
-            for moment, cumulative, table in draws:
-                bit, step = table[bisect_right(cumulative, draw())]
-                if mask & bit:
-                    voided += 1
-                    break
-                mask |= bit
-                sequence[moment] = step
-            else:
-                packed, gains = start, [0.0] * n
-                for hit, field, memo, bidders, column in sequence:
-                    if hit is None:
-                        key = packed & field
-                        try:
-                            hit = memo[key]
-                        except KeyError:
-                            hit = resolve(packed, bidders)
-                            if room:
-                                room -= 1
-                                memo[key] = hit
-                    f, k, feas = hit
-                    if f:
-                        r = bits(k) if f > 1 else 0
-                        while r >= f:
-                            r = bits(k)
-                        winner = feas[r]
-                        packed += units[winner]
-                        gains[winner] += column[winner]
-                rows.append(gains)
-        for a, column in enumerate(zip(*rows)):
-            totals[a] = reduce(add, column, totals[a])
-            squares[a] = reduce(add, map(mul, column, column), squares[a])
-    means = [total / samples for total in totals]
-    return MonteCarloEstimate(
-        list(map(add, held, means)),
-        # the sample variance, from the mean square, is over samples - 1
-        [math.sqrt(max(0.0, square / samples - mean * mean) / max(samples - 1, 1))
-         for square, mean in zip(squares, means)],
-        voided)
+    from ._sampler import monte_carlo_estimate
+    return monte_carlo_estimate(ctx, samples, seed)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from onlinefair import cli, manipulation
+from onlinefair import _search, cli
 from onlinefair.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -338,13 +338,36 @@ class TestManipulate:
         def no_plan(*_args):
             raise AssertionError("the search started")
         with monkeypatch.context() as patch:
-            patch.setattr(manipulation, "_plan", no_plan)
+            patch.setattr(_search, "_plan", no_plan)
             patch.setenv("ONLINEFAIR_BUDGET", "7")
             code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "budget exceeded: best-response search needs 2^3 rows (budget 7)\n"
         monkeypatch.setenv("ONLINEFAIR_BUDGET", "8")
         assert run_json(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("mode", ["best-response", "strategyproof"])
+    def test_like_answers_past_the_row_budget(self, capsys, tmp_path, mode):
+        # Like is strategyproof: at m = 25 the 2^25 rows outnumber the default
+        # budget, and the search answers anyway, with the sincere row
+        rows = [["1"] * 25, ["0", "1"] * 12 + ["1"], ["2"] + ["0"] * 24]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "agents": 3, "items": 25, "utilities": rows,
+            "arrival": {"type": "order", "order": list(range(25, 0, -1))}}))
+        agent = ["--agent", "2"] if mode == "best-response" else []
+        out = run_json(capsys, "manipulate", str(path), "--mode", mode,
+                       "--mechanism", "like", *agent)
+        if mode == "strategyproof":
+            assert out["answer"] is True
+        else:
+            assert (out["best_response_row"], out["gain"]) == (rows[1], "0")
+        # Balanced Like, the default mechanism, still refuses the 2^25 rows
+        code, stdout, err = run_cli(capsys, "manipulate", str(path), "--mode", mode,
+                                    *agent)
+        assert (code, stdout) == (3, "")
+        assert err == ("budget exceeded: best-response search needs 2^25 rows "
+                       "(budget 1000000)\n")
 
     def test_missing_deviation_file(self, capsys, witness_instance):
         code, _, err = run_cli(capsys, "manipulate", witness_instance,
@@ -1153,7 +1176,38 @@ class TestStartup:
         assert "onlinefair.cli" in cli
         assert not {"dataclasses", "inspect"} & (cli - bare)
 
-    @pytest.mark.parametrize("module, ceiling", [("engine.py", 3406), ("cli.py", 3585)])
+    @pytest.mark.parametrize("argv, loaded", [
+        (("outcome", "PAIR", "--query", "exact", "--mechanism", "like", "--agent", "1"),
+         set()),
+        (("outcome", "PAIR", "--query", "exact", "--mechanism", "like", "--agent", "1",
+          "--prefix", "PREFIX"), {"_online"}),
+        (("sample", "PAIR", "--mechanism", "like", "--samples", "10", "--seed", "1"),
+         {"_sampler"}),
+        (("sample", "PAIR", "--mechanism", "like", "--samples", "10", "--seed", "1",
+          "--prefix", "PREFIX"), {"_sampler"}),
+        (("manipulate", "PAIR", "--mode", "best-response", "--agent", "1"),
+         {"_search"}),
+        (("generate", "--kind", "reduction2", "--graph-name", "k33"), {"_gadgets"}),
+        (("oracle", "--kind", "count-pm", "--graph-name", "k33"), {"_gadgets"}),
+    ], ids=["outcome", "outcome --prefix", "sample", "sample --prefix",
+            "manipulate", "generate", "oracle"])
+    def test_loads_only_what_it_runs(self, pair_instance, tmp_path, argv, loaded):
+        """A call compiles a private body module only when it runs that
+        body: the known-prefix code, the sampler, the best-response search
+        or the gadget builders and oracles."""
+        prefix = tmp_path / "prefix.json"
+        prefix.write_text(json.dumps({"arrived": [1], "bundles": [[1], []]}))
+        files = {"PAIR": pair_instance, "PREFIX": str(prefix)}
+        argv = [files.get(arg, arg) for arg in argv]
+        show = ("import sys; from onlinefair.cli import main; status = main(sys.argv[1:]); "
+                "print(status, *sorted(sys.modules), file=sys.stderr)")
+        result = run_python("-c", show, *argv)
+        status, *modules = result.stderr.split()
+        assert status == "0", result.stderr
+        private = {"_gadgets", "_online", "_sampler", "_search"}
+        assert {m.removeprefix("onlinefair.") for m in modules} & private == loaded
+
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1758), ("cli.py", 3585)])
     def test_module_size_ceiling(self, module, ceiling):
         """Every CLI call compiles these modules, so neither may grow past its
         tokenize token count (ENCODING token included) when the ceiling was
@@ -1317,6 +1371,20 @@ class TestTraceHarness:
         assert sum(name == "engine.exact_utility" and parent >= 0
                    and recorded[parent][0].startswith("manipulation.")
                    for name, _start, _end, parent in recorded) == rows
+
+    @pytest.mark.parametrize("argv, span", [
+        (("generate", "--kind", "reduction2"), "generators.reduction2_instance"),
+        (("oracle", "--kind", "count-pm"), "generators.count_perfect_matchings"),
+    ], ids=["generate", "oracle"])
+    def test_traced_generators(self, tmp_path, argv, span):
+        # the harness wraps every onlinefair.generators function that cli
+        # imports, the stubs whose bodies load on first use included
+        spans = tmp_path / "spans.json"
+        result = run_python(str(TRACE_ENTRY), str(spans), "q", "--", *argv,
+                            "--graph-name", "k33")
+        assert result.returncode == 0, result.stderr
+        recorded = {name for name, *_rest in json.loads(spans.read_text())["spans"]}
+        assert {span, "generators.complete_bipartite"} <= recorded
 
     @pytest.mark.parametrize("mechanism", ["like", "balanced-like"])
     def test_traced_sample_counts_feasible_sets(self, pair_instance, tmp_path,

@@ -23,7 +23,7 @@ from onlinefair import (
     reduction3_roles,
     utilities_under_deviation,
 )
-from onlinefair import manipulation
+from onlinefair import _search
 
 from helpers import (
     hexagon_cycle,
@@ -199,22 +199,15 @@ class TestBestResponse:
                 is_strategyproof_on_instance(ctx)
         ctx = QueryContext(inst, Mechanism.BALANCED_LIKE, budget=45)
         assert best_response_search(ctx, 0) == (inst.utilities[0], F(0))
-        # under Like a fixed-order frontier holds a single state; items 0 and
-        # 1 are wanted by the searched agent alone, and agents 0 and 1 tie on
-        # item 2
-        inst = Instance(3, 3, ((F(0), F(0), F(1)), (F(0), F(0), F(1)),
-                               (F(1), F(1), F(1))), FixedOrder((0, 1, 2)))
-        sizes, original = [], manipulation._step
-        def step(*args):
-            stepped = original(*args)
-            sizes.append(len(stepped[0]))
-            return stepped
+        # under Like the search answers without stepping any frontier, so no
+        # budget is ever reached
+        def no_step(*_args):
+            raise AssertionError("the Like search stepped a frontier")
         with monkeypatch.context() as patch:
-            patch.setattr(manipulation, "_step", step)
-            like = QueryContext(inst, Mechanism.LIKE, budget=8)
-            assert best_response_search(like, 2) == (inst.utilities[2], F(0))
+            patch.setattr(_search, "_step", no_step)
+            like = QueryContext(inst, Mechanism.LIKE, budget=1)
+            assert best_response_search(like, 0) == (inst.utilities[0], F(0))
             assert is_strategyproof_on_instance(like)
-        assert sizes and set(sizes) == {1}
 
     def test_like_is_strategyproof_on_random_instances(self):
         rng = random.Random(55)
@@ -232,25 +225,48 @@ class TestBestResponse:
 
     @pytest.mark.parametrize("mechanism", list(Mechanism))
     def test_rows_over_budget_refused_before_any_work(self, monkeypatch, mechanism):
-        # 2^3 rows: budget 7 refuses before the arrival plan is built, and
-        # budget 8 answers as the default budget does
+        # 2^3 rows: under Balanced Like budget 7 refuses before the arrival
+        # plan is built, and budget 8 answers as the default budget does.
+        # Like is strategyproof, so it answers at budget 7 with no plan built
         inst = pinned_witness()
         expected = [best_response_search(QueryContext(inst, mechanism), agent)
                     for agent in range(3)]
         def no_plan(*_args):
             raise AssertionError("the search started")
         with monkeypatch.context() as patch:
-            patch.setattr(manipulation, "_plan", no_plan)
+            patch.setattr(_search, "_plan", no_plan)
             ctx = QueryContext(inst, mechanism, budget=7)
-            for search in (lambda: best_response_search(ctx, 2),
-                           lambda: is_strategyproof_on_instance(ctx)):
-                with pytest.raises(BudgetExceeded) as refused:
-                    search()
-                assert str(refused.value) == \
-                    "best-response search needs 2^3 rows (budget 7)"
+            if mechanism is Mechanism.LIKE:
+                assert [best_response_search(ctx, agent)
+                        for agent in range(3)] == expected
+                assert is_strategyproof_on_instance(ctx)
+            else:
+                for search in (lambda: best_response_search(ctx, 2),
+                               lambda: is_strategyproof_on_instance(ctx)):
+                    with pytest.raises(BudgetExceeded) as refused:
+                        search()
+                    assert str(refused.value) == \
+                        "best-response search needs 2^3 rows (budget 7)"
         ctx = QueryContext(inst, mechanism, budget=8)
         assert [best_response_search(ctx, agent) for agent in range(3)] == expected
         assert is_strategyproof_on_instance(ctx) is (mechanism is Mechanism.LIKE)
+
+    def test_like_answer_keeps_the_input_checks(self):
+        # Like answers without a search, but only after the checks that come
+        # first in one: the agent index, a known prefix, and the bids
+        inst = pinned_witness()
+        ctx = QueryContext(inst, Mechanism.LIKE)
+        with pytest.raises(InputError, match=r"outside 0\.\.2"):
+            best_response_search(ctx, 3)
+        empty = AllocationState((frozenset(),) * 3, F(1))
+        negative = (*inst.utilities[:2], (F(-1), F(0), F(1)))
+        for bad, message in ((ctx._replace(known_prefix=((), empty)), "empty allocation"),
+                             (ctx._replace(bids=inst.utilities[:2]), "does not match"),
+                             (ctx._replace(bids=negative), "negative bid -1")):
+            with pytest.raises(InputError, match=message):
+                best_response_search(bad, 0)
+            with pytest.raises(InputError, match=message):
+                is_strategyproof_on_instance(bad)
 
     def test_gain_never_negative(self):
         # sincere is always a candidate, so the search result cannot lose
