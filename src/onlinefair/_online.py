@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import engine
 from .core import AllocationState, InputError, check_indices
-from .arrivals import _columns, _scaled_columns
+from .arrivals import _columns
 from .engine import ZERO, _checked_prefix, _positive_bidders
 from .mechanisms import packed_sizes
 
@@ -41,7 +41,7 @@ def states_after(ctx, moments):
     start = sum(len(bundle) * unit + sum(owner << k for k in bundle)
                 for bundle, unit, owner in zip(bundles, units, owners))
     layout = base, units, masks, tags, owners
-    plan = _scaled_columns(_columns(arrival), n), None, 1
+    plan = _columns(arrival, n), None, 1
     frontier, scale, memo = {(sum(1 << k for k in arrived), start): 1}, 1, {}
     for moment in range(len(arrived), len(arrived) + moments):
         frontier, scale, *_ = engine._step(frontier, scale, moment, plan, positive, layout,
@@ -86,8 +86,8 @@ def epsilon_bound(ctx, agent):
     check_indices(ctx.instance, agent)
     if not any(agent in bidders for bidders in _positive_bidders(ctx)):
         raise InputError(f"agent {agent} bids positively on nothing")
-    floors = [Fraction(min(a for _item, _bit, a in column), q)
-              for q, column in _columns(ctx.instance.arrival) if column]
+    floors = [Fraction(min(shares[0] for _item, _bit, shares in column), grow)
+              for grow, column in _columns(ctx.instance.arrival, ctx.instance.n) if column]
     if not floors:
         raise InputError("no item ever arrives under this distribution")
     return math.prod(floors) * Fraction(1, ctx.instance.n) ** ctx.instance.m

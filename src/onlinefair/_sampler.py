@@ -43,7 +43,7 @@ def monte_carlo_estimate(ctx, samples, seed):
         raise InputError("samples must be positive")
     n, m, utilities, arrival = ctx.instance
     positive = _positive_bidders(ctx)
-    columns = _columns(arrival)
+    columns = _columns(arrival, n)
     base, units, masks, _tags = packed_sizes(ctx.mechanism, n, m, positive)
     arrived, start, held = (), 0, [0.0] * n
     credit = [list(map(float, column)) for column in zip(*utilities)]
@@ -69,13 +69,15 @@ def monte_carlo_estimate(ctx, samples, seed):
     fixed_mask = void | sum(1 << item for item in arrived)
     sequence = [None] * len(columns)
     draws = []
-    for moment, (q, column) in enumerate(columns):
-        if len(column) == 1 and column[0][2] == q and not fixed_mask & column[0][1]:
+    for moment, (grow, column) in enumerate(columns):
+        if len(column) == 1 and column[0][2][0] == grow and not fixed_mask & column[0][1]:
             fixed_mask |= column[0][1]
             sequence[moment] = steps[column[0][0]]
         else:
-            draws.append((moment, list(accumulate(a / q for _item, _bit, a in column)),
-                          [(bit, steps[item]) for item, bit, _a in column] + [(void, None)]))
+            draws.append((moment, list(accumulate(shares[0] / grow
+                                                  for _item, _bit, shares in column)),
+                          [(bit, steps[item]) for item, bit, _shares in column]
+                          + [(void, None)]))
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
     room, totals, squares, voided = ctx.budget, [0.0] * n, [0.0] * n, 0

@@ -430,14 +430,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         prog="onlinefair",
         description="Exact outcomes and manipulation analysis for the Like "
                     "and Balanced Like online allocation mechanisms.")
-    if command not in _SUBCOMMANDS:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
-        return parser
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    _SUBCOMMANDS[command](sub)
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](sub)
     return parser
 
 

@@ -696,12 +696,16 @@ class TestExitCodes:
         assert err.rstrip().endswith(
             "frontier reached 2 states at moment 2 of 2 (budget 1)")
 
-    def test_invalid_budget_env(self, capsys, monkeypatch, pair_instance):
-        monkeypatch.setenv("ONLINEFAIR_BUDGET", "many")
-        code, _, _ = run_cli(capsys, "outcome", pair_instance, "--query",
-                             "exact", "--mechanism", "balanced-like",
-                             "--agent", "1")
-        assert code == 2
+    @pytest.mark.parametrize("budget, message", [
+        ("many", "ONLINEFAIR_BUDGET must be an integer, got 'many'"),
+        ("0", "ONLINEFAIR_BUDGET must be positive"),
+        ("-3", "ONLINEFAIR_BUDGET must be positive"),
+    ])
+    def test_invalid_budget_env(self, capsys, monkeypatch, pair_instance, budget, message):
+        monkeypatch.setenv("ONLINEFAIR_BUDGET", budget)
+        result = run_cli(capsys, "outcome", pair_instance, "--query",
+                         "exact", "--mechanism", "balanced-like", "--agent", "1")
+        assert result == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("mode, budget, code, tail", [
         *[(mode, "8", 3, "frontier reached 15 states at moment 1 of 3 (budget 8)")
@@ -804,6 +808,21 @@ class TestInputErrorMessages:
         (_DEVIATE, {"FILE": PAIR, "DEVIATION": ["-1", "1"]}, "negative bid -1"),
         (_DEVIATE, {"FILE": PAIR, "DEVIATION": ["1"]},
          "bid profile does not match the instance"),
+        (_PREFIX, {"FILE": PAIR, "PREFIX": {"arrived": [1], "bundles": [[], [], []]}},
+         "prefix has 3 bundles for 2 agents"),
+        ((*_PREFIX, "--item", "1"),
+         {"FILE": PAIR, "PREFIX": {"arrived": [], "bundles": [[], []]}},
+         "--item is not supported together with --prefix"),
+        (("generate", "--kind", "reduction2"), {},
+         "provide --graph FILE or --graph-name NAME"),
+        (("generate", "--kind", "subset", "--values", "1,x", "-b", "2", "-c", "1"), {},
+         "bad --values list: invalid literal for int() with base 10: 'x'"),
+        (_OUTCOME, {"FILE": dict(PAIR, utilities=[])}, "utility matrix is empty"),
+        (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "distribution", "matrix": []})},
+         "arrival matrix is empty"),
+        (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "distribution",
+                                                "matrix": [["1"], ["1"]]})},
+         "arrival matrix is 2x1, expected 2x2"),
     ])
     def test_exit_2_with_message(self, capsys, tmp_path, argv, files, message):
         paths = {}
@@ -1207,7 +1226,7 @@ class TestStartup:
         private = {"_gadgets", "_online", "_sampler", "_search"}
         assert {m.removeprefix("onlinefair.") for m in modules} & private == loaded
 
-    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1758), ("cli.py", 3585)])
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1758), ("cli.py", 3557)])
     def test_module_size_ceiling(self, module, ceiling):
         """Every CLI call compiles these modules, so neither may grow past its
         tokenize token count (ENCODING token included) when the ceiling was

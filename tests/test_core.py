@@ -82,6 +82,10 @@ class TestValidation:
         with pytest.raises(InputError, match="utility matrix is 1x2, expected 2x2"):
             validate_instance(inst)
 
+    def test_rejects_unknown_arrival_model(self):
+        with pytest.raises(InputError, match="unknown arrival model 'order'"):
+            validate_instance(Instance(1, 1, ((1,),), "order"))
+
     def test_rejects_overweight_column(self):
         matrix = ((F(1), F(0)), (F(1, 2), F(1)))
         with pytest.raises(InputError,
@@ -129,6 +133,14 @@ class TestAllocationState:
         state = AllocationState((frozenset(), frozenset()), F(0))
         with pytest.raises(InputError):
             check_allocation_state(state, 2, 1)
+
+    @pytest.mark.parametrize("bundles, message", [
+        ((frozenset(),) * 3, "state has 3 bundles for 2 agents"),
+        ((frozenset({5}), frozenset()), "item index 5 out of range"),
+    ])
+    def test_check_names_the_fault(self, bundles, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            check_allocation_state(AllocationState(bundles, F(1)), 2, 2)
 
 
 class TestJsonRoundTrip:

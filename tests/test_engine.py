@@ -444,7 +444,7 @@ class TestLikeClosedForm:
         # completion probability over their number
         inst, bids = case
         report = outcome_report(QueryContext(inst, Mechanism.LIKE, bids))
-        factor, unit = _scaled_completion(_columns(inst.arrival),
+        factor, unit = _scaled_completion(_columns(inst.arrival, inst.n), inst.n,
                                           DEFAULT_ENUMERATION_BUDGET)
         complete = F(factor[0], unit)
         if isinstance(inst.arrival, FixedOrder):
@@ -510,6 +510,27 @@ class TestDistribution:
             b = outcome_report(QueryContext(fixed, mechanism))
             assert a.expected_utility == b.expected_utility
             assert a.allocation_probability == b.allocation_probability
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(fixed_instances(), distribution_instances()))
+    def test_columns_are_the_arrival_probabilities(self, inst):
+        # per moment, (grow, ((item, bit, shares), ...)) over the positive
+        # support: shares[0] / grow is the arrival probability, shares[f] one
+        # of f agents' share of it, and grow // lcm(1..n) the column's q
+        lcm = math.lcm(*range(1, inst.n + 1))
+        for j, (grow, entries) in enumerate(_columns(inst.arrival, inst.n)):
+            if isinstance(inst.arrival, FixedOrder):
+                column = [F(k == inst.arrival.order[j]) for k in range(inst.m)]
+            else:
+                column = [row[j] for row in inst.arrival.matrix]
+            support = [k for k, p in enumerate(column) if p > 0]
+            assert [item for item, _bit, _shares in entries] == support
+            for item, bit, shares in entries:
+                assert bit == 1 << item
+                assert F(shares[0], grow) == column[item]
+                assert [share * f for f, share in enumerate(shares)][1:] \
+                    == [shares[0]] * inst.n
+            assert grow // lcm == math.lcm(*(column[k].denominator for k in support))
 
     def test_all_zero_column_voids_everything(self):
         matrix = ((F(1), F(0)), (F(0), F(0)))
@@ -820,6 +841,10 @@ class TestOnlineQueries:
             next_item_probability(QueryContext(
                 inst, Mechanism.LIKE,
                 known_prefix=((0, 0), AllocationState((frozenset(),) * 2, F(1)))))
+        with pytest.raises(InputError, match="arrived item 7 out of range"):
+            next_item_probability(QueryContext(
+                inst, Mechanism.LIKE,
+                known_prefix=((7,), AllocationState((frozenset(),) * 2, F(1)))))
 
     def test_online_queries_honour_the_budget(self):
         # under Like all three agents may win item 2: three successors
