@@ -1,0 +1,45 @@
+"""The known-prefix part of the command line: reading a ``--prefix`` file,
+and the ``outcome --query exact --prefix`` answer.  Only a call given
+``--prefix`` loads this module.  ``cli`` is the running command-line module,
+handed over by its stubs; the online queries are called through it.
+"""
+
+from .core import (AllocationState, InputError, format_rational, json_int, json_list,
+                   parse_rational)
+
+
+def load_prefix(cli, path: str, n: int,
+                m: int) -> tuple[tuple[int, ...], AllocationState]:
+    data = cli._load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"a prefix must be a JSON object, got {type(data).__name__}")
+    try:
+        raw_arrived = data["arrived"]
+        raw_bundles = data["bundles"]
+    except KeyError as exc:
+        raise InputError(f"missing prefix field: {exc}") from exc
+    arrived = tuple(cli._index(json_int(k, "arrived item"), m)
+                    for k in json_list(raw_arrived, "arrived"))
+    raw_bundles = json_list(raw_bundles, "bundles")
+    if len(raw_bundles) != n:
+        raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
+    bundles = [[cli._index(json_int(k, "bundle item"), m)
+                for k in json_list(bundle, "bundle")] for bundle in raw_bundles]
+    held = sorted(k for bundle in bundles for k in bundle)
+    for k, after in zip(held, held[1:]):
+        if k == after:
+            raise InputError(f"the prefix bundles list item {k + 1} twice")
+    probability = parse_rational(data.get("probability", 1))
+    return arrived, AllocationState(tuple(map(frozenset, bundles)), probability)
+
+
+def online_outcome(cli, args, ctx, agent: int, out: dict) -> dict:
+    if args.item is not None:
+        raise InputError("--item is not supported together with --prefix")
+    utilities = cli.online_utilities(ctx)
+    out["method"] = "online"
+    out["expected_utility"] = [format_rational(u) for u in utilities]
+    out["next_item_probability"] = [
+        format_rational(p) for p in cli.next_item_probability(ctx)]
+    out["value"] = format_rational(utilities[agent])
+    return out

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tokenize
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -823,6 +824,10 @@ class TestInputErrorMessages:
         (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "distribution",
                                                 "matrix": [["1"], ["1"]]})},
          "arrival matrix is 2x1, expected 2x2"),
+        (("generate", "--kind", "subset", "--values", "", "-b", "1", "-c", "1"), {},
+         "--values lists no integers"),
+        (("oracle", "--kind", "subset-sum", "--values", ",", "-b", "0", "-c", "0"), {},
+         "--values lists no integers"),
     ])
     def test_exit_2_with_message(self, capsys, tmp_path, argv, files, message):
         paths = {}
@@ -1181,6 +1186,29 @@ class TestFuzzedGraphFiles:
         assert code in (0, 2, 3)
 
 
+def count_tokens(path: Path) -> int:
+    """The tokenize tokens of a source file, its ENCODING token included."""
+    with open(path, "rb") as handle:
+        return sum(1 for _token in tokenize.tokenize(handle.readline))
+
+
+_AT_PAIR = ("PAIR", "--mechanism", "like")
+CALLS = {
+    "outcome": ("outcome", *_AT_PAIR, "--query", "exact", "--agent", "1"),
+    "outcome --prefix": ("outcome", *_AT_PAIR, "--query", "exact", "--agent", "1",
+                         "--prefix", "PREFIX"),
+    "sample": ("sample", *_AT_PAIR, "--samples", "10", "--seed", "1"),
+    "sample --prefix": ("sample", *_AT_PAIR, "--samples", "10", "--seed", "1",
+                        "--prefix", "PREFIX"),
+    "manipulate --mode exact": ("manipulate", *_AT_PAIR, "--mode", "exact",
+                                "--agent", "1", "--deviation", "DEV"),
+    "manipulate --mode best-response": ("manipulate", *_AT_PAIR, "--mode",
+                                        "best-response", "--agent", "1"),
+    "generate": ("generate", "--kind", "reduction2", "--graph-name", "k33"),
+    "oracle": ("oracle", "--kind", "count-pm", "--graph-name", "k33"),
+}
+
+
 class TestStartup:
     def test_no_dataclasses_or_inspect(self):
         """A CLI call loads neither ``dataclasses`` nor ``inspect`` (about
@@ -1195,46 +1223,87 @@ class TestStartup:
         assert "onlinefair.cli" in cli
         assert not {"dataclasses", "inspect"} & (cli - bare)
 
-    @pytest.mark.parametrize("argv, loaded", [
-        (("outcome", "PAIR", "--query", "exact", "--mechanism", "like", "--agent", "1"),
-         set()),
-        (("outcome", "PAIR", "--query", "exact", "--mechanism", "like", "--agent", "1",
-          "--prefix", "PREFIX"), {"_online"}),
-        (("sample", "PAIR", "--mechanism", "like", "--samples", "10", "--seed", "1"),
-         {"_sampler"}),
-        (("sample", "PAIR", "--mechanism", "like", "--samples", "10", "--seed", "1",
-          "--prefix", "PREFIX"), {"_sampler"}),
-        (("manipulate", "PAIR", "--mode", "best-response", "--agent", "1"),
-         {"_search"}),
-        (("generate", "--kind", "reduction2", "--graph-name", "k33"), {"_gadgets"}),
-        (("oracle", "--kind", "count-pm", "--graph-name", "k33"), {"_gadgets"}),
-    ], ids=["outcome", "outcome --prefix", "sample", "sample --prefix",
-            "manipulate", "generate", "oracle"])
-    def test_loads_only_what_it_runs(self, pair_instance, tmp_path, argv, loaded):
-        """A call compiles a private body module only when it runs that
-        body: the known-prefix code, the sampler, the best-response search
-        or the gadget builders and oracles."""
+    @staticmethod
+    def call_argv(command, pair_instance, tmp_path) -> list[str]:
+        """``CALLS[command]`` with its placeholders replaced by files."""
         prefix = tmp_path / "prefix.json"
         prefix.write_text(json.dumps({"arrived": [1], "bundles": [[1], []]}))
-        files = {"PAIR": pair_instance, "PREFIX": str(prefix)}
-        argv = [files.get(arg, arg) for arg in argv]
+        deviation = tmp_path / "deviation.json"
+        deviation.write_text(json.dumps(["1", "0"]))
+        files = {"PAIR": pair_instance, "PREFIX": str(prefix), "DEV": str(deviation)}
+        return [files.get(arg, arg) for arg in CALLS[command]]
+
+    def loaded_modules(self, command, pair_instance, tmp_path) -> list[str]:
+        """The ``onlinefair`` modules that ``CALLS[command]`` loads."""
+        argv = self.call_argv(command, pair_instance, tmp_path)
         show = ("import sys; from onlinefair.cli import main; status = main(sys.argv[1:]); "
                 "print(status, *sorted(sys.modules), file=sys.stderr)")
         result = run_python("-c", show, *argv)
         status, *modules = result.stderr.split()
         assert status == "0", result.stderr
-        private = {"_gadgets", "_online", "_sampler", "_search"}
+        return [m for m in modules if m.split(".")[0] == "onlinefair"]
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("outcome", set()),
+        ("outcome --prefix", {"_online", "_cli_prefix"}),
+        ("sample", {"_sampler", "_cli_sample"}),
+        ("sample --prefix", {"_sampler", "_cli_sample", "_cli_prefix"}),
+        ("manipulate --mode exact", {"_cli_manipulate"}),
+        ("manipulate --mode best-response", {"_search", "_cli_manipulate"}),
+        ("generate", {"_gadgets", "_cli_generate"}),
+        ("oracle", {"_gadgets", "_cli_generate"}),
+    ], ids=["outcome", "outcome --prefix", "sample", "sample --prefix",
+            "manipulate --mode exact", "manipulate", "generate", "oracle"])
+    def test_loads_only_what_it_runs(self, pair_instance, tmp_path, command, loaded):
+        """A call compiles a private module only when it runs its code: the
+        known-prefix code, the sampler, the best-response search, the gadget
+        builders and oracles, or another subcommand's parser and runner."""
+        modules = self.loaded_modules(command, pair_instance, tmp_path)
+        private = {"_gadgets", "_online", "_sampler", "_search", "_cli_prefix",
+                   "_cli_manipulate", "_cli_generate", "_cli_sample"}
         assert {m.removeprefix("onlinefair.") for m in modules} & private == loaded
 
-    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1758), ("cli.py", 3557)])
+    @pytest.mark.parametrize("command, budget", [
+        ("outcome", 8200), ("outcome --prefix", 10718),
+        ("manipulate --mode exact", 9857), ("manipulate --mode best-response", 10763),
+        ("generate", 12287), ("oracle", 12287), ("sample", 10917),
+        ("sample --prefix", 10917),
+    ])
+    def test_compile_budget(self, pair_instance, tmp_path, command, budget):
+        """Without bytecode a call compiles every package module it loads.
+        Their tokenize tokens may not pass the budget: for ``outcome`` the
+        count after ``cli.py``'s split, for the others the count before it."""
+        modules = self.loaded_modules(command, pair_instance, tmp_path)
+        package = Path(cli.__file__).parent
+        total = sum(count_tokens(package / f"{m.partition('.')[2] or '__init__'}.py")
+                    for m in modules)
+        assert total <= budget, f"{command} compiles {total} tokens, over {budget}"
+
+    @pytest.mark.parametrize("command", ["manipulate --mode exact", "generate", "sample"])
+    def test_lazy_modules_reuse_the_running_cli(self, pair_instance, tmp_path, command):
+        """Under ``python -m onlinefair.cli`` the running module is
+        ``__main__``; a lazy module that imported ``onlinefair.cli`` would
+        compile ``cli.py`` a second time, and ``-X importtime`` would show it."""
+        argv = self.call_argv(command, pair_instance, tmp_path)
+        result = run_python("-X", "importtime", "-m", "onlinefair.cli", *argv)
+        assert result.returncode == 0, result.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert f"onlinefair._cli_{command.split()[0]}" in imported
+        assert "onlinefair.cli" not in imported
+
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1758), ("cli.py", 1763)])
     def test_module_size_ceiling(self, module, ceiling):
         """Every CLI call compiles these modules, so neither may grow past its
         tokenize token count (ENCODING token included) when the ceiling was
         set.  A change that needs room deletes code to make it."""
-        path = Path(cli.__file__).with_name(module)
-        with open(path, "rb") as handle:
-            tokens = sum(1 for _token in tokenize.tokenize(handle.readline))
+        tokens = count_tokens(Path(cli.__file__).with_name(module))
         assert tokens <= ceiling, f"{module} has {tokens} tokens, over {ceiling}"
+
+    def test_graph_annotations_resolve(self):
+        from onlinefair import _cli_generate
+        assert typing.get_type_hints(_cli_generate.graph_from_args)["return"] \
+            is _cli_generate.BipartiteGraph
 
 
 def launch(argv, unbuffered, stdout=subprocess.PIPE, budget=None):

@@ -4,8 +4,9 @@ workloads: ``python tools/compare_outputs.py PARENT_TREE CHANGE_TREE [SEEDS...]`
 For each seed (1 and 2 by default) and each workload of ``BENCHMARK.json``,
 ``perfbench/workloads.build`` builds the inputs from PARENT_TREE's set-up
 answers.  Every set-up call and query runs under both trees' ``src`` with
-``PYTHONDONTWRITEBYTECODE=1``; each call whose stdout, stderr or exit code
-differ is printed, and the script exits 1 if any do.
+``PYTHONDONTWRITEBYTECODE=1``, and so do the help texts and usage errors of
+``USAGE_CALLS``, which no workload prints; each call whose stdout, stderr or
+exit code differ is printed, and the script exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ HERE = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # import the harness without writing into it
 sys.path.insert(0, str(HERE / "perfbench"))
 from workloads import build  # noqa: E402
+
+COMMANDS = ["outcome", "manipulate", "generate", "oracle", "sample"]
+USAGE_CALLS = [["--help"], *([command, "--help"] for command in COMMANDS), [], ["bogus"],
+               ["generate", "--graph", "x", "--graph-name", "k33"]]
 
 
 def run(tree: Path, argv) -> tuple[int, str, str]:
@@ -50,6 +55,8 @@ def main(argv: list[str]) -> int:
             print(f"DIFFERS {label}: {' '.join(call)}")
         return before
 
+    for call in USAGE_CALLS:
+        compare("usage", call)
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
             for name in (workload["name"] for workload in benchmark["workloads"]):
