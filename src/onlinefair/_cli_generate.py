@@ -3,7 +3,7 @@ the first call of either loads.  ``cli`` is the running command-line module,
 handed over by its stubs; every generator is called through it.
 """
 
-from .core import BudgetExceeded, InputError, format_rational
+from .core import BudgetExceeded, InputError
 from .generators import BipartiteGraph
 
 NAMED_GRAPHS = {
@@ -26,7 +26,7 @@ READS = {"reduction1": "--graph --graph-name --full-support",
 
 
 def graph_from_args(cli, args) -> BipartiteGraph:
-    if args.graph:
+    if args.graph is not None:
         return cli.graph_from_json_dict(cli._load_json(args.graph))
     if args.graph_name:  # argparse restricts it to the names
         return NAMED_GRAPHS[args.graph_name](cli)
@@ -51,7 +51,7 @@ def run_generate(cli, args) -> dict:
         instance, threshold = cli.reduction_subset_instance(subset)
         return {
             "instance": cli.instance_to_json_dict(instance),
-            "threshold": format_rational(threshold),
+            "threshold": threshold,
             "subset_exists": cli.subset_sum_bc(subset, cli._budget()),
         }
     if kind == "random":

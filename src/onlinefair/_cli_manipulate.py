@@ -4,7 +4,7 @@ handed over by its stub; the manipulation entry points are called through
 it.
 """
 
-from .core import InputError, format_rational, json_list, parse_rational
+from .core import InputError, json_list, parse_rational
 
 # For each mode, the optional flags it reads, "!" marking the ones it needs.
 READS = {"necessary": "--threshold --strict --agent! --deviation!",
@@ -39,8 +39,8 @@ def run_manipulate(cli, args) -> dict:
     out["agent"] = args.agent
     if args.mode == "best-response":
         row, gain = cli.best_response_search(ctx, agent)
-        out["best_response_row"] = [format_rational(x) for x in row]
-        out["gain"] = format_rational(gain)
+        out["best_response_row"] = row
+        out["gain"] = gain
         return out
     threshold = parse_rational("0" if args.threshold is None else args.threshold)
     data = cli._load_json(args.deviation)
@@ -53,11 +53,11 @@ def run_manipulate(cli, args) -> dict:
         ctx, agent, json_list(data["bids"], "deviation bids"),
         None if sincere is None else json_list(sincere, "sincere bids"))
     gain = deviated_value - sincere_value
-    out["sincere_utility"] = format_rational(sincere_value)
-    out["deviated_utility"] = format_rational(deviated_value)
-    out["gain"] = format_rational(gain)
+    out["sincere_utility"] = sincere_value
+    out["deviated_utility"] = deviated_value
+    out["gain"] = gain
     if args.mode == "necessary":
-        out["threshold"] = format_rational(threshold)
+        out["threshold"] = threshold
         out["strict"] = bool(args.strict)
         out["answer"] = gain > threshold if args.strict else gain >= threshold
     return out

@@ -4,8 +4,7 @@ and the ``outcome --query exact --prefix`` answer.  Only a call given
 handed over by its stubs; the online queries are called through it.
 """
 
-from .core import (AllocationState, InputError, format_rational, json_int, json_list,
-                   parse_rational)
+from .core import AllocationState, InputError, json_int, json_list, parse_rational
 
 
 def load_prefix(cli, path: str, n: int,
@@ -38,8 +37,7 @@ def online_outcome(cli, args, ctx, agent: int, out: dict) -> dict:
         raise InputError("--item is not supported together with --prefix")
     utilities = cli.online_utilities(ctx)
     out["method"] = "online"
-    out["expected_utility"] = [format_rational(u) for u in utilities]
-    out["next_item_probability"] = [
-        format_rational(p) for p in cli.next_item_probability(ctx)]
-    out["value"] = format_rational(utilities[agent])
+    out["expected_utility"] = utilities
+    out["next_item_probability"] = cli.next_item_probability(ctx)
+    out["value"] = utilities[agent]
     return out

@@ -17,11 +17,5 @@ def add_sample(cli, sub):
 def run_sample(cli, args) -> dict:
     ctx = cli._context(args)
     result = cli.monte_carlo_estimate(ctx, args.samples, args.seed)
-    return {
-        "method": "monte-carlo",
-        "samples": args.samples,
-        "seed": args.seed,
-        "estimates": result.estimates,
-        "standard_error": result.standard_error,
-        "voided": result.voided,
-    }
+    return {"method": "monte-carlo", "samples": args.samples, "seed": args.seed,
+            **result._asdict()}

@@ -41,7 +41,7 @@ def states_after(ctx, moments):
     start = sum(len(bundle) * unit + sum(owner << k for k in bundle)
                 for bundle, unit, owner in zip(bundles, units, owners))
     layout = base, units, masks, tags, owners
-    plan = _columns(arrival, n), None, 1
+    plan = _columns(arrival, n), {}, 1
     frontier, scale, memo = {(sum(1 << k for k in arrived), start): 1}, 1, {}
     for moment in range(len(arrived), len(arrived) + moments):
         frontier, scale, *_ = engine._step(frontier, scale, moment, plan, positive, layout,

@@ -8,7 +8,8 @@ one of f feasible agents' share of that branch.  ``_columns`` is the only
 reader of the model's probabilities; the completion factors, the sampler and
 ``epsilon_bound`` read its entries too.  The count-state kernel also reads
 the probability that the remaining moments complete without a void, as ints
-over one common denominator (``_plan``).
+over one common denominator (``_plan``), for both models: a fixed ordering
+never voids, so each of its factors is 1.
 """
 
 from __future__ import annotations
@@ -76,10 +77,9 @@ def _scaled_completion(columns, n: int, budget: int) -> tuple[dict[int, int], in
 
 
 def _plan(arrival, n: int, budget: int):
-    """What ``_step`` reads of the arrival model: (columns, integer
-    completion factors or None for a fixed ordering, which never voids,
-    their denominator C)."""
+    """What ``_step`` reads of the arrival model: (columns, the integer
+    completion factor of every reachable arrived mask, their denominator
+    C).  A fixed ordering is no special case: its table holds the m + 1
+    masks of its prefixes, each with factor 1, and C = 1."""
     columns = _columns(arrival, n)
-    if isinstance(arrival, FixedOrder):
-        return columns, None, 1
     return (columns,) + _scaled_completion(columns, n, budget)

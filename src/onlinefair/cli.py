@@ -107,7 +107,7 @@ def _context(args) -> QueryContext:
     instance = _load_instance(args.instance)
     mechanism = Mechanism.from_string(args.mechanism)
     prefix = None
-    if getattr(args, "prefix", None):
+    if getattr(args, "prefix", None) is not None:
         prefix = _load_prefix(args.prefix, instance.n, instance.m)
     return QueryContext(instance, mechanism, known_prefix=prefix, budget=_budget())
 
@@ -150,14 +150,14 @@ def _run_outcome(args) -> dict:
         if args.item is not None:
             item = _index(args.item, ctx.instance.m)
             out["item"] = args.item
-            out["value"] = format_rational(report.allocation_probability[agent][item])
+            out["value"] = report.allocation_probability[agent][item]
         else:
-            out["value"] = format_rational(report.expected_utility[agent])
+            out["value"] = report.expected_utility[agent]
     elif args.query == "necessary":
         threshold = parse_rational(args.threshold)
         value = exact_utility(ctx, agent)
-        out["threshold"] = format_rational(threshold)
-        out["value"] = format_rational(value)
+        out["threshold"] = threshold
+        out["value"] = value
         out["answer"] = value >= threshold
     elif args.item is not None:  # possible
         item = _index(args.item, ctx.instance.m)
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, default=format_rational))
     return 0
 
 

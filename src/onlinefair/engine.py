@@ -11,9 +11,10 @@ Three information settings are supported:
 Every arrival model is read as one integer column per moment
 (``arrivals.py``): a fixed ordering is one certain item per moment, a
 distribution a column of arrival probabilities a / q over the column's lcm
-denominator q.  Two loops step over these columns.  ``_step`` moves an
-exact frontier one moment, mapping (arrived-item bitmask, one packed int)
-to reach probability.  Balanced Like gives an item to the positive bidders
+denominator q.  Both come with the same table of completion factors, all 1
+for a fixed ordering, so no loop asks which model it steps.  Two loops step
+over these columns.  ``_step`` moves an exact frontier one moment, mapping
+(arrived-item bitmask, one packed int) to reach probability.  Balanced Like gives an item to the positive bidders
 holding the fewest items, so the packed int holds the bundle sizes; Like
 keeps none (one state per moment under a fixed ordering).  The count-state
 kernel behind ``outcome_report`` and the best-response search step that
@@ -39,7 +40,7 @@ no-arrival residual of a column, is void and contributes an empty allocation
 (zero utility for everyone).  Only full-length repeat-free arrival sequences
 count.  The kernel weights each placement by the probability that the
 remaining moments complete without a void, which depends only on the set of
-arrived items.
+arrived items (and is 1 under a fixed ordering).
 """
 
 from __future__ import annotations
@@ -123,9 +124,13 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
 
     The frontier maps (arrived mask, packed int) to an int: the probability
     of reaching that state without a void is ``value / scale``.  ``plan``
-    comes from ``_plan`` (or has no completion factors), and ``layout`` is
-    ``packed_sizes`` over ``positive``, the bidders of each item (or of each
-    entry the layout keys), plus ``owners``, one bundle-field unit per agent.
+    is (columns, completion factors, their denominator C) as ``_plan``
+    builds it, and a mask missing from the table completes with certainty:
+    the kernel's and the search's tables hold every reachable mask, and
+    ``states_after`` passes an empty table with C = 1, weighting no
+    placement.  ``layout`` is ``packed_sizes`` over ``positive``, the
+    bidders of each item (or of each entry the layout keys), plus
+    ``owners``, one bundle-field unit per agent.
     Agent a winning item k adds the move ``units[a] + owners[a] * (1 << k)``.
     The kernel and the search pass zero owners, so their packed int is the
     bundle sizes alone; ``states_after`` keeps each bundle mask above them.
@@ -156,12 +161,9 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
             if mask & bit:
                 continue
             mask2 = mask | bit
-            if completion is None:
-                tail = 1
-            else:
-                tail = completion[mask2]
-                if not tail:
-                    continue
+            tail = completion.get(mask2, 1)
+            if not tail:
+                continue
             key = packed & field | tag
             hit = memo.get(key)
             if hit is None:
@@ -212,15 +214,15 @@ def states_after(ctx: QueryContext, moments: int):
     ``probability`` is not multiplied in.
 
     The frontier is ``_step``'s, with its credits ignored and one memo for
-    the whole build.  It takes no completion factor: owner-level states
-    carry none, and building the table could exceed the budget on arrival
-    masks the requested depth never reaches.  Its packed int holds the
-    bundle sizes (none under Like) and, above them, one m-bit bundle mask
-    per agent, agent 0's highest, so the packed ints sort as the bundle
-    masks do.  Each distinct packed int is decoded once at the end, and the
-    states repeat most bundles, so one frozenset is built per distinct
-    mask: sharing them leaves far fewer live containers for cyclic garbage
-    collection to scan.
+    the whole build.  Its completion table is empty, so no placement is
+    weighted: owner-level states carry no completion factor, and building
+    the table could exceed the budget on arrival masks the requested depth
+    never reaches.  Its packed int holds the bundle sizes (none under Like)
+    and, above them, one m-bit bundle mask per agent, agent 0's highest, so
+    the packed ints sort as the bundle masks do.  Each distinct packed int
+    is decoded once at the end, and the states repeat most bundles, so one
+    frozenset is built per distinct mask: sharing them leaves far fewer
+    live containers for cyclic garbage collection to scan.
     """
     from ._online import states_after
     return states_after(ctx, moments)

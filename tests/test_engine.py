@@ -497,19 +497,33 @@ class TestDistribution:
                 assert [list(r) for r in report.allocation_probability] \
                     == [list(r) for r in alloc]
 
-    def test_unit_columns_match_fixed_order(self):
-        # a distribution with one unit column per moment is a fixed ordering
-        order = (2, 0, 1)
-        matrix = tuple(tuple(F(1) if order[j] == k else F(0) for j in range(3))
-                       for k in range(3))
-        utilities = ((F(1), F(0), F(1)), (F(1), F(1), F(0)))
-        stoch = Instance(2, 3, utilities, Distribution(matrix))
-        fixed = Instance(2, 3, utilities, FixedOrder(order))
+    @settings(max_examples=50, deadline=None)
+    @given(fixed_instances(max_n=3, max_m=6, rational=True))
+    @example(Instance(2, 3, ((F(1), F(0), F(1)), (F(1), F(1), F(0))),
+                      FixedOrder((2, 0, 1))))
+    def test_fixed_order_is_its_unit_distribution(self, fixed):
+        # a fixed ordering and its 0/1 arrival matrix step through the same
+        # plan, so every query answers both alike: the kernel, the owner-level
+        # states at every depth, the search, the sampler, and the online
+        # queries from each state reached along the order
+        order = fixed.arrival.order
+        matrix = tuple(tuple(F(order[j] == k) for j in range(fixed.m))
+                       for k in range(fixed.m))
+        unit = fixed._replace(arrival=Distribution(matrix))
         for mechanism in Mechanism:
-            a = outcome_report(QueryContext(stoch, mechanism))
-            b = outcome_report(QueryContext(fixed, mechanism))
-            assert a.expected_utility == b.expected_utility
-            assert a.allocation_probability == b.allocation_probability
+            a, b = QueryContext(fixed, mechanism), QueryContext(unit, mechanism)
+            assert outcome_report(a) == outcome_report(b)
+            for agent in range(fixed.n):
+                assert best_response_search(a, agent) == best_response_search(b, agent)
+            assert monte_carlo_estimate(a, 40, 3) == monte_carlo_estimate(b, 40, 3)
+            for j in range(fixed.m + 1):
+                states = states_after(a, j)
+                assert states == states_after(b, j)
+                for _arrived, state in states[0]:
+                    a2 = a._replace(known_prefix=(order[:j], state))
+                    b2 = b._replace(known_prefix=(order[:j], state))
+                    assert online_utilities(a2) == online_utilities(b2)
+                    assert next_item_probability(a2) == next_item_probability(b2)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(fixed_instances(), distribution_instances()))
