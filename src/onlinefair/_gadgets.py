@@ -22,12 +22,13 @@ from .core import (
 from .generators import ONE, ZERO, BipartiteGraph, SubsetInstance
 
 
-def make_graph(left, right, edges):
+def make_graph(left, right, edges, first=0):
+    # vertices count from ``first``, and an error names an edge as given
     if left < 0 or right < 0:
         raise InputError("vertex counts must be non-negative")
     seen = set()
     for edge in edges:
-        a, b = edge
+        a, b = (v - first for v in edge)
         if not (0 <= a < left and 0 <= b < right):
             raise InputError(f"edge {edge!r} out of range")
         if (a, b) in seen:
@@ -55,8 +56,8 @@ def graph_from_json_dict(data):
     for pair in json_list(raw, "edges"):
         if len(json_list(pair, "an edge")) != 2:
             raise InputError(f"edge {pair!r} must have two endpoints")
-        edges.append(tuple(json_int(v, "an edge endpoint") - 1 for v in pair))
-    return make_graph(json_int(left, "left"), json_int(right, "right"), edges)
+        edges.append([json_int(v, "an edge endpoint") for v in pair])
+    return make_graph(json_int(left, "left"), json_int(right, "right"), edges, first=1)
 
 
 # --- named graphs -------------------------------------------------------------

@@ -2,14 +2,6 @@
 ``engine.states_after``, ``engine.next_item_probability``,
 ``engine.online_utilities`` and ``engine.epsilon_bound``, whose docstrings
 describe them.  A call loads this module when it first needs one of them.
-
-``states_after``, the one owner-level view for every arrival model, with or
-without a known prefix, steps the count-state kernel's frontier with one
-bundle mask per agent packed above the sizes, and takes its void mass as
-the complement of the surviving mass; the online queries are one
-``states_after`` step from the known prefix.  It steps through
-``engine._step``, so each feasible set it computes is a call of
-``engine.feasible_for_counts``, as in the kernel.
 """
 
 from __future__ import annotations
@@ -34,18 +26,18 @@ def states_after(ctx, moments):
     remaining = m - len(arrived)
     if not 0 <= moments <= remaining:
         raise InputError(f"moments must be within 0..{remaining}")
-    positive = _positive_bidders(ctx)
-    base, units, masks, tags = packed_sizes(ctx.mechanism, n, m, positive)
+    mechanism, base, units, entries, _zeros = packed_sizes(
+        ctx.mechanism, n, m, _positive_bidders(ctx))
     shifts = [n * (base.bit_length() - 1) + m * i for i in reversed(range(n))]
     owners = [1 << shift for shift in shifts]
     start = sum(len(bundle) * unit + sum(owner << k for k in bundle)
                 for bundle, unit, owner in zip(bundles, units, owners))
-    layout = base, units, masks, tags, owners
+    layout = mechanism, base, units, entries, owners
     plan = _columns(arrival, n), {}, 1
     frontier, scale, memo = {(sum(1 << k for k in arrived), start): 1}, 1, {}
     for moment in range(len(arrived), len(arrived) + moments):
-        frontier, scale, *_ = engine._step(frontier, scale, moment, plan, positive, layout,
-                                           memo, ctx.mechanism, ctx.budget)
+        frontier, scale, *_ = engine._step(frontier, scale, moment, plan, layout, memo,
+                                           ctx.budget)
     void = 1 - Fraction(sum(frontier.values()), scale)
     full = (1 << m) - 1
     held = {packed: [packed >> shift & full for shift in shifts]

@@ -1,25 +1,6 @@
 """The Monte Carlo sampler: the body of ``engine.monte_carlo_estimate``,
-whose docstring describes it.  Only a ``sample`` call loads this module.
-
-The sampler, the engine's other loop besides ``_step``, draws every
-uncertain column once per sample by bisecting its cumulative probabilities
-and each winner from raw random bits, consuming the generator exactly as
-``randrange`` would, and reports each agent's standard error and the voided
-runs with its means.  Before the first run it builds one step per item (the
-feasible set when no size can change it, else a memo of its own; the item's
-bidders and credit column), and a run places the steps its columns landed
-on.  It keeps a run's bundle sizes packed in one int, and each item's memo
-is keyed on just that item's bidders' size fields, since every run revisits
-the same few; under Like, or with fewer than two bidders, the feasible set
-reads no size and is resolved once before the runs.  A memo miss computes
-its feasible set through ``engine.feasible_for_counts``, the module global
-the kernel reads too.  A drawn column's no-arrival residual carries the
-sentinel bit ``1 << m``, set in every run's arrived mask, so one mask test
-finds every void draw.  A run's gains are kept as a row, and each batch of
-rows is folded into the per-agent totals and squares with
-``functools.reduce``, run by run, so the float sums stay those of a
-run-by-run loop.  A fold skips the zero gains: gains are never negative, so
-a total is never -0.0, and adding 0.0 to it leaves every bit as it was.
+whose docstring describes it.  Only a ``sample`` call loads this module,
+on its first call.
 """
 
 from __future__ import annotations
@@ -42,9 +23,9 @@ def monte_carlo_estimate(ctx, samples, seed):
     if samples < 1:
         raise InputError("samples must be positive")
     n, m, utilities, arrival = ctx.instance
-    positive = _positive_bidders(ctx)
     columns = _columns(arrival, n)
-    base, units, masks, _tags = packed_sizes(ctx.mechanism, n, m, positive)
+    _mechanism, base, units, entries, _owners = packed_sizes(
+        ctx.mechanism, n, m, _positive_bidders(ctx))
     arrived, start, held = (), 0, [0.0] * n
     credit = [list(map(float, column)) for column in zip(*utilities)]
     if ctx.known_prefix is not None:
@@ -62,9 +43,8 @@ def monte_carlo_estimate(ctx, samples, seed):
         feas = engine.feasible_for_counts(
             ctx.mechanism, [packed // unit % base for unit in units if unit], bidders)
         return len(feas), len(feas).bit_length(), feas
-    steps = [(resolve(0, bidders) if not field or len(bidders) < 2 else None,
-              field, {}, bidders, column)
-             for bidders, field, column in zip(positive, masks, credit)]
+    steps = [(None if field else resolve(0, bidders), field, {}, bidders, column)
+             for (bidders, field, _tag), column in zip(entries, credit)]
     void = 1 << m  # the residual's sentinel bit, set in every run's mask
     fixed_mask = void | sum(1 << item for item in arrived)
     sequence = [None] * len(columns)

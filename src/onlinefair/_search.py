@@ -43,10 +43,9 @@ def best_response_search(ctx, agent):
     # never share a feasibility memo key
     variants = ([tuple(i for i in b if i != agent) for b in bidders]
                 + [tuple(sorted({*b, agent})) for b in bidders])
-    base, units, variant_masks, variant_tags = packed_sizes(mechanism, n, m, variants)
-    # each item's entry, filled in as the bits are decided
-    positive, masks, tags = [None] * m, [0] * m, [0] * m
-    layout, memo = (base, units, masks, tags, [0] * n), {}
+    *head, variants, owners = packed_sizes(mechanism, n, m, variants)
+    records = [None] * m  # each item's entry, set as its bit is decided
+    layout, memo = (*head, records, owners), {}
     weight = [1 << (m - 1 - k) for k in range(m)]
     sincere_bits = sum(weight[k] for k in range(m) if true_row[k])
     # the true row as ints over one denominator prices a step's credits
@@ -60,12 +59,10 @@ def best_response_search(ctx, agent):
         depth, bits, frontier, scale, value = stack.pop()
         if depth:
             item = order[depth - 1]
-            entry = item + m if bits & weight[item] else item
-            positive[item], masks[item] = variants[entry], variant_masks[entry]
-            tags[item] = variant_tags[entry]
+            records[item] = variants[item + m if bits & weight[item] else item]
         for moment in steps[depth]:
-            frontier, scale, credits, unit = _step(frontier, scale, moment, plan, positive,
-                                                   layout, memo, mechanism, budget)
+            frontier, scale, credits, unit = _step(frontier, scale, moment, plan, layout,
+                                                   memo, budget)
             gained = sum(credit * int_row[item]
                          for (i, item), credit in credits.items() if i == agent)
             if gained:

@@ -83,16 +83,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def _rational_matrix(rows, *, what: str) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    for row in rows:
-        out.append(tuple(parse_rational(entry) for entry in row))
+    out = tuple(tuple(map(parse_rational, row)) for row in rows)
     if not out:
         raise InputError(f"{what} matrix is empty")
-    width = len(out[0])
-    for row in out:
-        if len(row) != width:
-            raise InputError(f"{what} matrix rows have unequal lengths")
-    return tuple(out)
+    if any(len(row) != len(out[0]) for row in out):
+        raise InputError(f"{what} matrix rows have unequal lengths")
+    return out
 
 
 class FixedOrder(NamedTuple):
@@ -315,10 +311,10 @@ def instance_from_json_dict(data: dict) -> Instance:
         order = arrival_data.get("order")
         if not isinstance(order, list):
             raise InputError("arrival order must be a list")
-        for k in order:
-            if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= m:
-                raise InputError(f"order entry {k!r} out of range 1..{m}")
-        arrival: ArrivalModel = FixedOrder(tuple(k - 1 for k in order))
+        arrival: ArrivalModel = FixedOrder(
+            tuple(json_int(k, "an order entry") - 1 for k in order))
+        if len(order) != m or sorted(order) != list(range(1, m + 1)):
+            raise InputError(f"order {order} is not a permutation of 1..{m}")
     elif kind == "distribution":
         matrix = arrival_data.get("matrix")
         if not isinstance(matrix, list):

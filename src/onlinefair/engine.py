@@ -14,18 +14,23 @@ distribution a column of arrival probabilities a / q over the column's lcm
 denominator q.  Both come with the same table of completion factors, all 1
 for a fixed ordering, so no loop asks which model it steps.  Two loops step
 over these columns.  ``_step`` moves an exact frontier one moment, mapping
-(arrived-item bitmask, one packed int) to reach probability.  Balanced Like gives an item to the positive bidders
-holding the fewest items, so the packed int holds the bundle sizes; Like
-keeps none (one state per moment under a fixed ordering).  The count-state
-kernel behind ``outcome_report`` and the best-response search step that
-frontier and add each item's allocation probability while it is placed.
-The owner-level view and the online queries (``_online.py``) step it too,
-and the Monte Carlo sampler (``_sampler.py``) is the other loop; each of
-these bodies is loaded on its first call, so a call compiles only what it
-runs.  An item's feasible set depends only on the item and its positive
-bidders' sizes, so ``_step`` looks it up in a memo keyed on those
-(``mechanisms.packed_sizes``) that lives for a whole run or search and
-stops growing at the budget.  The frontier's values are Python ints over
+(arrived-item bitmask, one packed int) to reach probability.  Balanced Like
+gives an item to the positive bidders holding the fewest items, so the
+packed int holds the bundle sizes; Like keeps none (one state per moment
+under a fixed ordering).  The count-state kernel behind ``outcome_report``
+and the best-response search step that frontier and add each item's
+allocation probability while it is placed.  The owner-level view and the
+online queries (``_online.py``) step it too, and the Monte Carlo sampler
+(``_sampler.py``) is the other loop; each of these bodies is loaded on its
+first call, so a call compiles only what it runs.  Both loops read one
+layout record, built by ``mechanisms.packed_sizes``: the mechanism, the
+packing of the sizes, one (bidders, field, tag) entry per item and each
+agent's bundle-field unit.  An item's feasible set depends only on the item
+and its positive bidders' sizes, so ``_step`` looks it up in a memo keyed
+on the entry's field of the packed int and its tag, which lives for a whole
+run or search and stops growing at the budget.  An entry whose feasible
+set reads no size (under Like, or with fewer than two bidders) has field 0
+and keys on its tag alone.  The frontier's values are Python ints over
 one per-frontier scale: a moment multiplies the scale by its column's lcm
 denominator q times L = lcm(1..n), so an arrival probability a / q split
 over f feasible agents is the exact int ``a * (L // f)``, and dividing out
@@ -118,8 +123,7 @@ def _checked_prefix(ctx: QueryContext):
     return arrived, state
 
 
-def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
-          mechanism, budget: int):
+def _step(frontier, scale: int, moment: int, plan, layout, memo, budget: int):
     """Advance a frontier over one moment: the one exact stepping loop.
 
     The frontier maps (arrived mask, packed int) to an int: the probability
@@ -128,19 +132,23 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
     builds it, and a mask missing from the table completes with certainty:
     the kernel's and the search's tables hold every reachable mask, and
     ``states_after`` passes an empty table with C = 1, weighting no
-    placement.  ``layout`` is ``packed_sizes`` over ``positive``, the
-    bidders of each item (or of each entry the layout keys), plus
-    ``owners``, one bundle-field unit per agent.
-    Agent a winning item k adds the move ``units[a] + owners[a] * (1 << k)``.
-    The kernel and the search pass zero owners, so their packed int is the
-    bundle sizes alone; ``states_after`` keeps each bundle mask above them.
-    ``memo`` maps the layout's key, which carries the item, to the feasible
-    set and the distinct moves its agents make: the single 0 under Like
-    with zero owners, whose units are all 0, or when nobody may take the
-    item.  So such a placement has one successor, which takes the whole
-    branch.  A miss unpacks the sizes and calls ``feasible_for_counts``, and
-    the memo keeps at most ``budget`` answers, so past that a miss is only
-    slower.  The caller keeps one memo for a whole run or search.
+    placement.  ``layout`` is the one record ``packed_sizes`` builds,
+    ``(mechanism, base, units, entries, owners)``, and item k reads its
+    entry ``entries[k]``, ``(bidders, field, tag)``: the search swaps in
+    the entry of the bid it has decided, and ``states_after`` its owners,
+    one bundle-field unit per agent.  Agent a winning item k adds the move
+    ``units[a] + owners[a] * (1 << k)``.  The kernel and the search keep
+    zero owners, so their packed int is the bundle sizes alone;
+    ``states_after`` keeps each bundle mask above them.  ``memo`` maps the
+    entry's key ``packed & field | tag`` to the feasible set and the
+    distinct moves its agents make: the single 0 under Like with zero
+    owners, whose units are all 0, or when nobody may take the item.  So
+    such a placement has one successor, which takes the whole branch.  An
+    entry whose feasible set reads no size has field 0, so it keys on its
+    tag alone and is computed once per memo.  A miss unpacks the sizes and
+    calls ``feasible_for_counts``, and the memo keeps at most ``budget``
+    answers, so past that a miss is only slower.  The caller keeps one memo
+    for a whole run or search.
 
     Returns (successors, their scale, credits, unit): placing item k on
     agent i adds the branch probability times the completion factor of the
@@ -151,11 +159,11 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
     terms and its ints stay small on deep instances.
     """
     columns, completion, unit = plan
-    grow, entries = columns[moment]
-    base, units, masks, tags, owners = layout
+    grow, column = columns[moment]
+    mechanism, base, units, entries, owners = layout
     successors, credits = {}, {}
-    for item, bit, shares in entries:
-        field, tag = masks[item], tags[item]
+    for item, bit, shares in column:
+        bidders, field, tag = entries[item]
         gained = {}  # credit per feasible set
         for (mask, packed), weight in frontier.items():
             if mask & bit:
@@ -168,7 +176,7 @@ def _step(frontier, scale: int, moment: int, plan, positive, layout, memo,
             hit = memo.get(key)
             if hit is None:
                 feas = feasible_for_counts(
-                    mechanism, [packed // u % base for u in units if u], positive[item])
+                    mechanism, [packed // u % base for u in units if u], bidders)
                 # the distinct moves; one, 0, under Like with no owners or if nobody wins
                 hit = feas, tuple({units[a] + owners[a] * bit for a in feas}) or (0,)
                 if len(memo) < budget:
@@ -265,14 +273,13 @@ def outcome_report(ctx: QueryContext) -> OutcomeReport:
         raise InputError(
             "known-prefix contexts use online_utilities / next_item_probability")
     n, m, utilities, arrival = ctx.instance
-    positive = _positive_bidders(ctx)
     plan = _plan(arrival, n, ctx.budget)
-    layout = packed_sizes(ctx.mechanism, n, m, positive) + ([0] * n,)
+    layout = packed_sizes(ctx.mechanism, n, m, _positive_bidders(ctx))
     alloc = [[ZERO] * m for _ in range(n)]
     frontier, scale, memo = {(0, 0): 1}, 1, {}
     for moment in range(m):
-        frontier, scale, credits, unit = _step(frontier, scale, moment, plan, positive,
-                                               layout, memo, ctx.mechanism, ctx.budget)
+        frontier, scale, credits, unit = _step(frontier, scale, moment, plan, layout,
+                                               memo, ctx.budget)
         for (agent, item), credit in credits.items():
             credit = Fraction(credit, unit)
             held = alloc[agent][item]
@@ -376,22 +383,22 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     linear scan with ``randrange`` (``tests/helpers.py::naive_monte_carlo``).
 
     Nothing that is the same in every run is redone in one.  Each item has
-    one step, built before the first run: its memo entry when no bundle size
+    one step, built before the first run from its entry in the layout
+    record (``mechanisms.packed_sizes``): its memo entry when no bundle size
     can change it, else ``None``; its memo field and its own memo; its
     positive bidders and its credit column.  A certain column's step is set
     once; a drawn column puts the step of the item it landed on into the
-    run's sequence.  A run's bundle sizes are one packed int
-    (``mechanisms.packed_sizes``).  Under Balanced Like an item's feasible
-    set depends only on its positive bidders' sizes, so it is looked up in
-    the item's memo under ``packed & field``, which keeps just those sizes;
-    an entry holds (f, ``f.bit_length()``, the f feasible agents), and a miss
-    unpacks the sizes and calls ``feasible_for_counts``.  The memos together
-    take at most ``ctx.budget`` entries, and past that a miss is computed
-    again each time, which is slower but gives the same draws.  Under Like no
-    feasible set reads a size, and an item with fewer than two positive
-    bidders gets them all whatever the sizes, so these items' entries are
-    resolved once, by the same call, before the first run: a placement there
-    reads no key and no memo.
+    run's sequence.  A run's bundle sizes are one packed int.  Under
+    Balanced Like an item's feasible set depends only on its positive
+    bidders' sizes, so it is looked up in the item's memo under
+    ``packed & field``, which keeps just those sizes; an entry holds (f,
+    ``f.bit_length()``, the f feasible agents), and a miss unpacks the sizes
+    and calls ``feasible_for_counts``.  The memos together take at most
+    ``ctx.budget`` entries, and past that a miss is computed again each
+    time, which is slower but gives the same draws.  An entry whose feasible
+    set reads no size (under Like, or with fewer than two positive bidders)
+    has field 0, and exactly these entries are resolved once, by the same
+    call, before the first run: a placement there reads no key and no memo.
 
     A drawn column holds one (item bit, step) pair per item it can land on,
     and (``1 << m``, ``None``) for its no-arrival residual.  That sentinel

@@ -89,7 +89,8 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
 
 def graph_from_json_dict(data: dict) -> BipartiteGraph:
     """Parse the graph format: JSON ints ``left`` and ``right``, and
-    ``edges`` as [left vertex, right vertex] pairs of 1-based JSON ints."""
+    ``edges`` as [left vertex, right vertex] pairs of 1-based JSON ints.
+    An edge out of range or listed twice is named as the file writes it."""
     from ._gadgets import graph_from_json_dict
     return graph_from_json_dict(data)
 

@@ -43,23 +43,29 @@ def feasible_for_counts(mechanism: Mechanism, counts, positive_bidders):
 
 
 def packed_sizes(mechanism: Mechanism, n: int, m: int, positive_bidders):
-    """A layout that packs the n bundle sizes into one int, and memo keys on it.
+    """The one layout record ``engine._step`` reads: it packs the n bundle
+    sizes into one int and keys each entry's feasibility memo on it.
 
-    Under Balanced Like agent i's size takes ``m.bit_length()`` bits from
-    ``units[i]`` up, room for any size up to m: winning an item adds
-    ``units[i]``, and the size reads back as ``packed // units[i] % base``.
-    Like keeps no sizes, so its units are 0 and the packed value stays 0.
-    An item's feasible set depends only on its positive bidders' sizes, and
-    under Like on none, so ``packed & masks[entry] | tags[entry]`` keeps
-    just those fields and tags them with the entry's index above every
-    field: equal keys have equal feasible sets.  ``positive_bidders`` holds
-    one bidder tuple per entry: one per item, or more when an item has
+    Returns ``(mechanism, base, units, entries, owners)``.  Under Balanced
+    Like agent i's size takes ``m.bit_length()`` bits from ``units[i]`` up,
+    room for any size up to m: winning an item adds ``units[i]``, and the
+    size reads back as ``packed // units[i] % base``.  Like keeps no sizes,
+    so its units are 0 and the packed value stays 0.  ``positive_bidders``
+    holds one bidder tuple per entry: one per item, or more when an item has
     several bidder sets (best-response search gives item k's bid-1 variant
-    the entry k + m).  Returns ``(base, units, masks, tags)``; ``engine._step``
-    takes it with a fifth field, each agent's bundle-field unit (``owners``).
+    the entry k + m).  Each entry is one record ``(bidders, field, tag)``.
+    An item's feasible set depends only on its positive bidders' sizes, so
+    ``packed & field | tag`` keeps just those fields and tags them with the
+    entry's index above every field: equal keys have equal feasible sets.
+    An entry whose feasible set reads no size, under Like or with fewer than
+    two bidders, gets field 0 and so keys on its tag alone.  ``owners``
+    holds each agent's bundle-field unit, all 0 here: the kernel and the
+    search keep no bundles, and ``states_after`` swaps in its own.
     """
     base = 1 << m.bit_length()
     sized = mechanism is Mechanism.BALANCED_LIKE
     units = [base ** i * sized for i in range(n)]
-    masks = [sum(units[i] for i in bidders) * (base - 1) for bidders in positive_bidders]
-    return base, units, masks, [entry * base ** n for entry in range(len(masks))]
+    entries = [(bidders,
+                sum(units[i] for i in bidders) * (base - 1) if len(bidders) > 1 else 0,
+                entry * base ** n) for entry, bidders in enumerate(positive_bidders)]
+    return mechanism, base, units, entries, [0] * n

@@ -769,9 +769,16 @@ class TestInputErrorMessages:
         (_OUTCOME, {"FILE": dict(PAIR, utilities=[["1", "1"]])},
          "utility matrix is 1x2, expected 2x2"),
         (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "order", "order": [1, 1]})},
-         "order (0, 0) is not a permutation of 0..1"),
+         "order [1, 1] is not a permutation of 1..2"),
         (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "order", "order": [1, 3]})},
-         "order entry 3 out of range 1..2"),
+         "order [1, 3] is not a permutation of 1..2"),
+        (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "order", "order": [2]})},
+         "order [2] is not a permutation of 1..2"),
+        (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "order", "order": [True, 2]})},
+         "an order entry must be an integer, got True"),
+        # the order is checked against the item count without listing 1..m
+        (_OUTCOME, {"FILE": dict(PAIR, items=10 ** 15)},
+         f"order [1, 2] is not a permutation of 1..{10 ** 15}"),
         (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "order", "order": "12"})},
          "arrival order must be a list"),
         (_OUTCOME, {"FILE": dict(PAIR, arrival={"type": "distribution",
@@ -800,6 +807,15 @@ class TestInputErrorMessages:
         (("oracle", "--kind", "min-maximal", "--graph", "GRAPH"),
          {"GRAPH": {"left": 2, "right": 2, "edges": []}},
          "the graph has no edges"),
+        (("oracle", "--kind", "count-pm", "--graph", "GRAPH"),
+         {"GRAPH": {"left": 2, "right": 2, "edges": [[1, 5]]}},
+         "edge [1, 5] out of range"),
+        (("oracle", "--kind", "count-pm", "--graph", "GRAPH"),
+         {"GRAPH": {"left": 2, "right": 2, "edges": [[1, 1], [1, 1]]}},
+         "duplicate edge [1, 1]"),
+        (("oracle", "--kind", "count-pm", "--graph", "GRAPH"),
+         {"GRAPH": {"left": 2, "right": 2, "edges": [[0, 1]]}},
+         "edge [0, 1] out of range"),
         (("generate", "--kind", "reduction2", "--graph-name", "c6"), {},
          "the graph must be 3-regular with equal sides"),
         (("generate", "--kind", "reduction3", "--graph-name", "k33", "-r", "1"), {},
@@ -1271,10 +1287,10 @@ class TestStartup:
         assert {m.removeprefix("onlinefair.") for m in modules} & private == loaded
 
     @pytest.mark.parametrize("command, budget", [
-        ("outcome", 8027), ("outcome --prefix", 9265),
-        ("manipulate --mode exact", 8539), ("manipulate --mode best-response", 9445),
-        ("generate", 11603), ("oracle", 11603), ("sample", 9261),
-        ("sample --prefix", 9637),
+        ("outcome", 7994), ("outcome --prefix", 9225),
+        ("manipulate --mode exact", 8506), ("manipulate --mode best-response", 9359),
+        ("generate", 11585), ("oracle", 11585), ("sample", 9220),
+        ("sample --prefix", 9596),
     ])
     def test_compile_budget(self, pair_instance, tmp_path, command, budget):
         """Without bytecode a call compiles every package module it loads.
@@ -1299,7 +1315,7 @@ class TestStartup:
         assert f"onlinefair._cli_{command.split()[0]}" in imported
         assert "onlinefair.cli" not in imported
 
-    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1745), ("cli.py", 1758)])
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1715), ("cli.py", 1758)])
     def test_module_size_ceiling(self, module, ceiling):
         """Every CLI call compiles these modules, so neither may grow past its
         tokenize token count (ENCODING token included) when the ceiling was

@@ -601,12 +601,11 @@ class TestScaledFrontier:
     def frontiers(inst, mechanism):
         plan = _plan(inst.arrival, inst.n, DEFAULT_ENUMERATION_BUDGET)
         positive = _positive_bidders(QueryContext(inst, mechanism))
-        layout = packed_sizes(mechanism, inst.n, inst.m, positive) + ([0] * inst.n,)
+        layout = packed_sizes(mechanism, inst.n, inst.m, positive)
         frontier, scale, memo = {(0, 0): 1}, 1, {}
         for moment in range(inst.m):
             frontier, scale, _credits, _unit = _step(
-                frontier, scale, moment, plan, positive, layout, memo, mechanism,
-                DEFAULT_ENUMERATION_BUDGET)
+                frontier, scale, moment, plan, layout, memo, DEFAULT_ENUMERATION_BUDGET)
             yield frontier, scale
 
     @settings(max_examples=80, deadline=None)
@@ -692,6 +691,23 @@ class TestKernelMemo:
         frontiers = list(TestScaledFrontier.frontiers(inst, Mechanism.BALANCED_LIKE))
         visits = 1 + sum(len(frontier) for frontier, _scale in frontiers[:-1])
         assert len(keys) * 3 < visits
+
+    def test_entry_that_reads_no_size_keys_on_its_tag(self, monkeypatch):
+        # item 0 is liked by both agents, item 1 by agent 0 alone.  Item 1's
+        # feasible set reads no size, so it is computed once, not once per
+        # size that agent 0 may hold when it arrives
+        rows = ((F(1), F(1)), (F(1), F(0)))
+        ctx = QueryContext(Instance(2, 2, rows, FixedOrder((0, 1))),
+                           Mechanism.BALANCED_LIKE)
+        calls = count_feasible_calls(monkeypatch)
+        report = outcome_report(ctx)
+        assert report.allocation_probability == ((F(1, 2), F(1)), (F(1, 2), F(0)))
+        assert [bidders for _m, _counts, bidders in calls] == [(0, 1), (0,)]
+        calls.clear()
+        states, void = states_after(ctx, 2)
+        assert [state.bundles for _arrived, state in states] \
+            == [({1}, {0}), ({0, 1}, set())] and void == 0
+        assert len(calls) == 2
 
     def test_memo_stops_growing_at_the_budget(self, monkeypatch):
         # three agents who like all of five uniformly arriving items: the

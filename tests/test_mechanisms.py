@@ -17,12 +17,11 @@ def step_one_item(mechanism, counts, bidders):
     ``counts``.  Returns (successor states keyed by bundle sizes under
     Balanced Like, each agent's probability of receiving the item)."""
     n = len(counts)
-    layout = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),)) + ([0] * n,)
-    base, units = layout[:2]
+    layout = packed_sizes(mechanism, n, n + max(counts), (tuple(bidders),))
+    _mechanism, base, units, _entries, _owners = layout
     plan = _plan(FixedOrder((0,)), n, budget=10)
     successors, scale, credits, unit = _step(
-        {(0, sum(map(mul, counts, units))): 1}, 1, 0, plan, (tuple(bidders),),
-        layout, {}, mechanism, budget=10)
+        {(0, sum(map(mul, counts, units))): 1}, 1, 0, plan, layout, {}, budget=10)
     # the packed sizes read back as a tuple under Balanced Like, () under Like
     sizes = {packed: tuple(packed // u % base for u in units if u)
              for _mask, packed in successors}
