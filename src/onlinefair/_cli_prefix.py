@@ -7,8 +7,10 @@ handed over by its stubs; the online queries are called through it.
 from .core import AllocationState, InputError, json_int, json_list, parse_rational
 
 
-def load_prefix(cli, path: str, n: int,
-                m: int) -> tuple[tuple[int, ...], AllocationState]:
+def load_prefix(cli, path: str, m: int) -> tuple[tuple[int, ...], AllocationState]:
+    """Read a prefix file, checking what only the file can show: its shape,
+    and its 1-based item indices as written (in range, no item in two
+    bundles).  ``core.check_prefix`` checks the rest when a query runs."""
     data = cli._load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"a prefix must be a JSON object, got {type(data).__name__}")
@@ -19,11 +21,9 @@ def load_prefix(cli, path: str, n: int,
         raise InputError(f"missing prefix field: {exc}") from exc
     arrived = tuple(cli._index(json_int(k, "arrived item"), m)
                     for k in json_list(raw_arrived, "arrived"))
-    raw_bundles = json_list(raw_bundles, "bundles")
-    if len(raw_bundles) != n:
-        raise InputError(f"prefix has {len(raw_bundles)} bundles for {n} agents")
     bundles = [[cli._index(json_int(k, "bundle item"), m)
-                for k in json_list(bundle, "bundle")] for bundle in raw_bundles]
+                for k in json_list(bundle, "bundle")]
+               for bundle in json_list(raw_bundles, "bundles")]
     held = sorted(k for bundle in bundles for k in bundle)
     for k, after in zip(held, held[1:]):
         if k == after:

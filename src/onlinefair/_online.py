@@ -10,9 +10,9 @@ import math
 from fractions import Fraction
 
 from . import engine
-from .core import AllocationState, InputError, check_indices
+from .core import AllocationState, InputError, check_indices, check_prefix
 from .arrivals import _columns
-from .engine import ZERO, _checked_prefix, _positive_bidders
+from .engine import ZERO, _positive_bidders
 from .mechanisms import packed_sizes
 
 
@@ -21,7 +21,7 @@ def states_after(ctx, moments):
     if ctx.known_prefix is None:
         arrived, bundles = (), ((),) * n
     else:
-        arrived, state = _checked_prefix(ctx)
+        arrived, state = check_prefix(ctx.instance, *ctx.known_prefix)
         bundles = state.bundles
     remaining = m - len(arrived)
     if not 0 <= moments <= remaining:

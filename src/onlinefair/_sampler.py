@@ -13,9 +13,9 @@ from itertools import accumulate
 from operator import add, mul
 
 from . import engine
-from .core import BudgetExceeded, InputError
+from .core import BudgetExceeded, InputError, check_prefix
 from .arrivals import _columns
-from .engine import _BATCH, MonteCarloEstimate, _checked_prefix, _positive_bidders
+from .engine import _BATCH, MonteCarloEstimate, _positive_bidders
 from .mechanisms import packed_sizes
 
 
@@ -29,7 +29,7 @@ def monte_carlo_estimate(ctx, samples, seed):
     arrived, start, held = (), 0, [0.0] * n
     credit = [list(map(float, column)) for column in zip(*utilities)]
     if ctx.known_prefix is not None:
-        arrived, state = _checked_prefix(ctx)
+        arrived, state = check_prefix(ctx.instance, *ctx.known_prefix)
         start = sum(map(mul, state.counts, units))
         columns = columns[len(arrived):][:1]
         held = [float(state.utility_of(i, utilities)) for i in range(n)]

@@ -108,7 +108,7 @@ def _context(args) -> QueryContext:
     mechanism = Mechanism.from_string(args.mechanism)
     prefix = None
     if getattr(args, "prefix", None) is not None:
-        prefix = _load_prefix(args.prefix, instance.n, instance.m)
+        prefix = _load_prefix(args.prefix, instance.m)
     return QueryContext(instance, mechanism, known_prefix=prefix, budget=_budget())
 
 
@@ -191,9 +191,9 @@ def _add_outcome(sub):
 # compile this file a second time.
 
 
-def _load_prefix(path: str, n: int, m: int):
+def _load_prefix(path: str, m: int):
     from ._cli_prefix import load_prefix
-    return load_prefix(sys.modules[__name__], path, n, m)
+    return load_prefix(sys.modules[__name__], path, m)
 
 
 def _online_outcome(args, ctx, agent: int, out: dict) -> dict:

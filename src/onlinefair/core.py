@@ -128,7 +128,9 @@ class Instance(NamedTuple):
 
 class AllocationState(NamedTuple):
     """A partial allocation: one bundle per agent, plus the probability with
-    which the mechanism reaches this state."""
+    which the mechanism reaches this state.  As a known prefix's state, its
+    probability is checked to lie in (0, 1] but never multiplied in: the
+    online queries answer given that the prefix happened."""
 
     bundles: tuple[frozenset[int], ...]
     probability: Fraction
@@ -140,27 +142,36 @@ class AllocationState(NamedTuple):
     def utility_of(self, agent: int, utilities) -> Fraction:
         return sum((utilities[agent][k] for k in self.bundles[agent]), Fraction(0))
 
-    def allocated_items(self) -> frozenset[int]:
-        out: set[int] = set()
-        for bundle in self.bundles:
-            out |= bundle
-        return frozenset(out)
 
-
-def check_allocation_state(state: AllocationState, n: int, m: int) -> None:
-    """Raise InputError unless the state's structural invariants hold."""
+def check_prefix(instance: Instance, arrived, state: AllocationState):
+    """Raise InputError unless ``(arrived, state)`` is a known prefix of
+    ``instance``, and return it as (arrived tuple, state).  The first fault
+    found is named: the bundle count, an item in two bundles, the
+    probability, an item that arrived twice or out of range, an allocated
+    item that never arrived, then a fixed order's prefix rule.  Every
+    arrived item is in range, so every allocated one is too."""
+    arrived = tuple(arrived)
+    n, m, _utilities, arrival = instance
     if len(state.bundles) != n:
-        raise InputError(f"state has {len(state.bundles)} bundles for {n} agents")
-    seen: set[int] = set()
+        raise InputError(f"prefix has {len(state.bundles)} bundles for {n} agents")
+    allocated: set[int] = set()
     for bundle in state.bundles:
         for item in bundle:
-            if not 0 <= item < m:
-                raise InputError(f"item index {item} out of range")
-            if item in seen:
+            if item in allocated:
                 raise InputError(f"item {item} appears in two bundles")
-            seen.add(item)
+            allocated.add(item)
     if not 0 < state.probability <= 1:
         raise InputError(f"state probability {state.probability} outside (0, 1]")
+    if len(set(arrived)) != len(arrived):
+        raise InputError("an item arrived twice in the prefix")
+    for item in arrived:
+        if not 0 <= item < m:
+            raise InputError(f"arrived item {item} out of range")
+    if not allocated <= set(arrived):
+        raise InputError("state allocates an item that never arrived")
+    if isinstance(arrival, FixedOrder) and arrived != arrival.order[:len(arrived)]:
+        raise InputError("arrived items are not a prefix of the fixed order")
+    return arrived, state
 
 
 def check_indices(instance: Instance, agent: int, item: int | None = None) -> None:
@@ -290,7 +301,8 @@ def json_int(value, what: str) -> int:
 
 
 def instance_from_json_dict(data: dict) -> Instance:
-    """Parse and validate the JSON instance format."""
+    """Parse and validate the JSON instance format.  The shapes are checked
+    here and the rationals once, by ``validate_instance``."""
     if not isinstance(data, dict):
         raise InputError(f"an instance must be a JSON object, got "
                          f"{type(data).__name__}")
@@ -319,12 +331,9 @@ def instance_from_json_dict(data: dict) -> Instance:
         matrix = arrival_data.get("matrix")
         if not isinstance(matrix, list):
             raise InputError("arrival matrix must be a list of rows")
-        arrival = Distribution(tuple(
-            tuple(parse_rational(p) for p in json_list(row, "arrival matrix row"))
-            for row in matrix))
+        arrival = Distribution([json_list(row, "arrival matrix row") for row in matrix])
     else:
         raise InputError(f"unknown arrival type {kind!r}")
 
-    rows = tuple(tuple(parse_rational(u) for u in json_list(row, "utility row"))
-                 for row in json_list(utilities, "utilities"))
+    rows = [json_list(row, "utility row") for row in json_list(utilities, "utilities")]
     return validate_instance(Instance(n, m, rows, arrival))

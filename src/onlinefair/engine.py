@@ -58,11 +58,9 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     AllocationState,
     BudgetExceeded,
-    FixedOrder,
     InputError,
     Instance,
     OutcomeReport,
-    check_allocation_state,
     check_indices,
 )
 from .arrivals import _plan
@@ -80,7 +78,9 @@ class QueryContext(NamedTuple):
     still priced at the instance's true values.  ``known_prefix`` is a
     pair (arrived item indices in arrival order, allocation state reached);
     it switches exact/possible/necessary queries to the online setting where
-    nothing is known about future items.
+    nothing is known about future items.  The online queries and the sampler
+    check it with ``core.check_prefix``.  The state's probability is checked
+    but never multiplied in: answers are given that the prefix happened.
     """
 
     instance: Instance
@@ -103,24 +103,6 @@ def _positive_bidders(ctx: QueryContext):
                 raise InputError(f"negative bid {entry}")
     return tuple(tuple(i for i, bid in enumerate(column) if bid)
                  for column in zip(*rows))
-
-
-def _checked_prefix(ctx: QueryContext):
-    """Validate the known prefix and return (arrived tuple, state)."""
-    arrived_raw, state = ctx.known_prefix
-    arrived = tuple(arrived_raw)
-    n, m, _utilities, arrival = ctx.instance
-    check_allocation_state(state, n, m)
-    if len(set(arrived)) != len(arrived):
-        raise InputError("an item arrived twice in the prefix")
-    for item in arrived:
-        if not 0 <= item < m:
-            raise InputError(f"arrived item {item} out of range")
-    if not state.allocated_items() <= set(arrived):
-        raise InputError("state allocates an item that never arrived")
-    if isinstance(arrival, FixedOrder) and arrived != arrival.order[:len(arrived)]:
-        raise InputError("arrived items are not a prefix of the fixed order")
-    return arrived, state
 
 
 def _step(frontier, scale: int, moment: int, plan, layout, memo, budget: int):

@@ -26,7 +26,7 @@ from onlinefair import (
     parse_rational,
     validate_instance,
 )
-from onlinefair.core import check_allocation_state
+from onlinefair.core import check_prefix
 
 F = Fraction
 
@@ -116,7 +116,6 @@ class TestAllocationState:
         utilities = ((F(1), F(1), F(4)), (F(2), F(5), F(0)))
         assert state.utility_of(0, utilities) == F(5)
         assert state.utility_of(1, utilities) == F(5)
-        assert state.allocated_items() == {0, 1, 2}
 
     def test_give_accumulates_probability(self):
         state = AllocationState((frozenset(), frozenset({0})), F(1, 2))
@@ -124,23 +123,38 @@ class TestAllocationState:
         assert state.probability == F(1, 2)
         assert state.counts == (0, 1)
 
-    def test_check_rejects_overlap(self):
-        state = AllocationState((frozenset({0}), frozenset({0})), F(1))
-        with pytest.raises(InputError):
-            check_allocation_state(state, 2, 1)
-
-    def test_check_rejects_zero_probability(self):
-        state = AllocationState((frozenset(), frozenset()), F(0))
-        with pytest.raises(InputError):
-            check_allocation_state(state, 2, 1)
-
-    @pytest.mark.parametrize("bundles, message", [
-        ((frozenset(),) * 3, "state has 3 bundles for 2 agents"),
-        ((frozenset({5}), frozenset()), "item index 5 out of range"),
+    @pytest.mark.parametrize("arrived, bundles, probability, message", [
+        # each fault alone
+        ((0,), ({0}, set(), set()), 1, "prefix has 3 bundles for 2 agents"),
+        ((0,), ({0}, {0}), 1, "item 0 appears in two bundles"),
+        ((), (set(), set()), 0, r"state probability 0 outside \(0, 1\]"),
+        ((), (set(), set()), F(3, 2), r"state probability 3/2 outside \(0, 1\]"),
+        ((0, 0), (set(), set()), 1, "an item arrived twice in the prefix"),
+        ((7,), (set(), set()), 1, "arrived item 7 out of range"),
+        ((-1,), (set(), set()), 1, "arrived item -1 out of range"),
+        ((0,), ({1}, set()), 1, "state allocates an item that never arrived"),
+        # a bundle item out of range never arrived either
+        ((0, 1), ({5}, set()), 1, "state allocates an item that never arrived"),
+        ((1,), (set(), set()), 1, "arrived items are not a prefix of the fixed order"),
+        # with several faults, the first in this order is named
+        ((1, 1), ({0}, {0}, set()), 0, "prefix has 3 bundles for 2 agents"),
+        ((1, 1), ({0}, {0}), 0, "item 0 appears in two bundles"),
+        ((1, 1), ({5}, set()), 0, r"state probability 0 outside \(0, 1\]"),
+        ((1, 1, 7), ({5}, set()), 1, "an item arrived twice in the prefix"),
+        ((1, 7), ({5}, set()), 1, "arrived item 7 out of range"),
+        ((1,), ({5}, set()), 1, "state allocates an item that never arrived"),
     ])
-    def test_check_names_the_fault(self, bundles, message):
+    def test_check_prefix_names_the_first_fault(self, arrived, bundles, probability,
+                                                message):
+        inst = two_agent_instance(FixedOrder((0, 1)))
+        state = AllocationState(tuple(map(frozenset, bundles)), F(probability))
         with pytest.raises(InputError, match=f"^{message}$"):
-            check_allocation_state(AllocationState(bundles, F(1)), 2, 2)
+            check_prefix(inst, arrived, state)
+
+    def test_check_prefix_returns_the_arrived_tuple(self):
+        state = AllocationState((frozenset({1}), frozenset()), F(1, 3))
+        inst = two_agent_instance(Distribution(((F(1, 2),) * 2,) * 2))
+        assert check_prefix(inst, [1], state) == ((1,), state)
 
 
 class TestJsonRoundTrip:

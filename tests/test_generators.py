@@ -122,6 +122,9 @@ class TestNamedGraphs:
         assert not square_cycle().is_subdivision_shaped()   # twin neighborhoods
         lopsided = make_graph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
         assert not lopsided.is_subdivision_shaped()         # more right than left
+        star = make_graph(5, 5, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 3),
+                                 (3, 0), (3, 4), (4, 1), (4, 2)])
+        assert not star.is_subdivision_shaped()             # right degree 4
 
 
 class TestMatchingCounts:
