@@ -35,9 +35,9 @@ def load_prefix(cli, path: str, m: int) -> tuple[tuple[int, ...], AllocationStat
 def online_outcome(cli, args, ctx, agent: int, out: dict) -> dict:
     if args.item is not None:
         raise InputError("--item is not supported together with --prefix")
-    utilities = cli.online_utilities(ctx)
-    out["method"] = "online"
-    out["expected_utility"] = utilities
-    out["next_item_probability"] = cli.next_item_probability(ctx)
-    out["value"] = utilities[agent]
-    return out
+    # one step gives both answers: the utilities add the held values to nxt
+    nxt = cli.next_item_probability(ctx)
+    from ._online import online_utilities
+    utilities = online_utilities(ctx, nxt)
+    return {**out, "method": "online", "expected_utility": utilities,
+            "next_item_probability": nxt, "value": utilities[agent]}

@@ -18,9 +18,8 @@ from .mechanisms import packed_sizes
 
 def states_after(ctx, moments):
     n, m, _utilities, arrival = ctx.instance
-    if ctx.known_prefix is None:
-        arrived, bundles = (), ((),) * n
-    else:
+    arrived, bundles = (), ((),) * n
+    if ctx.known_prefix is not None:
         arrived, state = check_prefix(ctx.instance, *ctx.known_prefix)
         bundles = state.bundles
     remaining = m - len(arrived)
@@ -67,11 +66,10 @@ def next_item_probability(ctx):
                  for i in range(ctx.instance.n))
 
 
-def online_utilities(ctx):
-    nxt = next_item_probability(ctx)
-    state = ctx.known_prefix[1]
-    return tuple(state.utility_of(i, ctx.instance.utilities) + p
-                 for i, p in enumerate(nxt))
+def online_utilities(ctx, nxt=None):
+    nxt = nxt or next_item_probability(ctx)
+    held = ctx.known_prefix[1].utility_of
+    return tuple(held(i, ctx.instance.utilities) + p for i, p in enumerate(nxt))
 
 
 def epsilon_bound(ctx, agent):

@@ -8,15 +8,17 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from functools import reduce
+from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 
 from . import engine
 from .core import BudgetExceeded, InputError, check_prefix
 from .arrivals import _columns
-from .engine import _BATCH, MonteCarloEstimate, _positive_bidders
+from .engine import MonteCarloEstimate, _positive_bidders
 from .mechanisms import packed_sizes
+
+_BATCH = 128  # runs whose gains are held as rows between folds
 
 
 def monte_carlo_estimate(ctx, samples, seed):
@@ -26,16 +28,17 @@ def monte_carlo_estimate(ctx, samples, seed):
     columns = _columns(arrival, n)
     _mechanism, base, units, entries, _owners = packed_sizes(
         ctx.mechanism, n, m, _positive_bidders(ctx))
-    arrived, start, held = (), 0, [0.0] * n
-    credit = [list(map(float, column)) for column in zip(*utilities)]
+    scale = math.lcm(*(u.denominator for row in utilities for u in row))
+    arrived, start, held = (), 0, [0] * n
+    credit = [[int(u * scale) for u in column] for column in zip(*utilities)]
     if ctx.known_prefix is not None:
         arrived, state = check_prefix(ctx.instance, *ctx.known_prefix)
         start = sum(map(mul, state.counts, units))
         columns = columns[len(arrived):][:1]
-        held = [float(state.utility_of(i, utilities)) for i in range(n)]
-        credit = [[1.0] * n] * m
-    if not columns:  # nothing left to draw, so every run adds nothing
-        return MonteCarloEstimate(held, [0.0] * n, 0)
+        held = [state.utility_of(i, utilities) for i in range(n)]
+        scale, credit = 1, [[1] * n] * m
+    if not columns:  # nothing left to draw: every run adds 0, so one will do
+        samples = 1
     if samples > ctx.budget:
         raise BudgetExceeded(f"{samples} samples exceed the budget {ctx.budget}")
 
@@ -60,7 +63,7 @@ def monte_carlo_estimate(ctx, samples, seed):
                           + [(void, None)]))
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
-    room, totals, squares, voided = ctx.budget, [0.0] * n, [0.0] * n, 0
+    room, totals, squares, voided = ctx.budget, [0] * n, [0] * n, 0
     for batch in range(0, samples, _BATCH):
         rows = []
         for _ in range(min(_BATCH, samples - batch)):
@@ -73,7 +76,7 @@ def monte_carlo_estimate(ctx, samples, seed):
                 mask |= bit
                 sequence[moment] = step
             else:
-                packed, gains = start, [0.0] * n
+                packed, gains = start, [0] * n
                 for hit, field, memo, bidders, column in sequence:
                     if hit is None:
                         key = packed & field
@@ -94,13 +97,12 @@ def monte_carlo_estimate(ctx, samples, seed):
                         gains[winner] += column[winner]
                 rows.append(gains)
         for a, column in enumerate(zip(*rows)):
-            column = [*filter(None, column)]  # a zero gain adds nothing
-            totals[a] = reduce(add, column, totals[a])
-            squares[a] = reduce(add, map(mul, column, column), squares[a])
-    means = [total / samples for total in totals]
+            totals[a] += sum(column)
+            squares[a] += sum(map(mul, column, column))
+    whole = scale * samples
     return MonteCarloEstimate(
-        list(map(add, held, means)),
-        # the sample variance, from the mean square, is over samples - 1
-        [math.sqrt(max(0.0, square / samples - mean * mean) / max(samples - 1, 1))
-         for square, mean in zip(squares, means)],
+        [float(value + Fraction(total, whole)) for value, total in zip(held, totals)],
+        [math.sqrt(Fraction(square * samples - total * total,
+                            whole * whole * max(samples - 1, 1)))
+         for square, total in zip(squares, totals)],
         voided)

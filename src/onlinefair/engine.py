@@ -67,7 +67,6 @@ from .arrivals import _plan
 from .mechanisms import Mechanism, feasible_for_counts, packed_sizes
 
 ZERO = Fraction(0)
-_BATCH = 128  # runs per fold of the sampler's gains into its totals
 
 
 class QueryContext(NamedTuple):
@@ -361,8 +360,8 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     linear scan would pick.  A winner among f > 1 feasible agents takes
     ``f.bit_length()`` random bits, redrawn while they are at least f, which
     is how CPython's ``Random.randrange(f)`` draws.  So the generator is
-    consumed, and the estimates and their squares summed, exactly as by a
-    linear scan with ``randrange`` (``tests/helpers.py::naive_monte_carlo``).
+    consumed exactly as by a linear scan with ``randrange``
+    (``tests/helpers.py::naive_monte_carlo``).
 
     Nothing that is the same in every run is redone in one.  Each item has
     one step, built before the first run from its entry in the layout
@@ -388,19 +387,23 @@ def monte_carlo_estimate(ctx: QueryContext, samples: int,
     the run exactly when ``mask & bit`` is nonzero: a repeated item or the
     residual, with no separate test for either.
 
-    None of this changes the draws or the float sums.  A run's gains are
-    summed in item order into a row of n floats.  Every ``_BATCH`` runs the
-    rows are folded into each agent's total, and their squares into its sum
-    of squares, with ``functools.reduce(operator.add, column, total)``: the
-    same additions, one per run in run order, as adding each row on its
-    own, with no list built per run.  ``sum()`` would not do, because from
-    Python 3.12 it sums floats with compensated rounding, and neither would
-    ``math.fsum``; both give other last bits.  Void runs add no row, as they
-    add nothing in a run-by-run loop, and a fold skips zero gains: a total
-    is never -0.0, and adding 0.0 to it changes no bit.  ``_BATCH`` is 128
-    because the rows held between folds raise the peak resident set: on the
-    K55-C10 gadget (16 agents) a batch of 512 cost a call about 0.36 MB, 128
-    nothing measurable, and the speed was the same.
+    None of this changes the draws.  Gains are ints over one scale S, the
+    lcm of the utilities' denominators: a won item credits its utility
+    times S, and from a known prefix a win counts 1, with S = 1.  A run's
+    gains go into a row of n ints, and every ``_BATCH`` runs (128, in
+    ``_sampler``) each agent's column of the rows is added to its total,
+    and the column's squares to its sum of squares, by ``sum()``: a C loop,
+    exact in any order and any Python version.  Void runs add no row.
+    Each answer is rounded once, at the end.  An estimate is ``float(held
+    + Fraction(total, S * samples))``.  The variance, ``(samples * squares
+    - total**2) / ((S * samples)**2 * max(samples - 1, 1))``, is an exact
+    ``Fraction`` that is never negative, and it is rounded to a float only
+    to take its square root.  So when every run gains the same (2/3 from
+    two items worth 1/3), the estimate is that gain, correctly rounded, and
+    its standard error is 0.  ``_BATCH`` is 128 because the rows held between
+    folds raise the peak resident set: on the K55-C10 gadget (16 agents) a
+    batch of 512 float rows cost a call about 0.36 MB, and 128 nothing
+    measurable.
     """
     from ._sampler import monte_carlo_estimate
     return monte_carlo_estimate(ctx, samples, seed)

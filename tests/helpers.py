@@ -221,10 +221,12 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None, keys=None
 
     Each uncertain moment is drawn by a linear scan over its column's float
     arrival probabilities, the winner with ``rng.randrange``, and each run's
-    gains and squared gains are added agent by agent.  A certain moment whose
-    item is not yet fixed takes no draw.  A standard error is the sample
-    standard deviation of the per-run utilities over sqrt(samples), with the
-    variance taken from the mean square.  The engine's sampler must consume
+    gains and squared gains are added agent by agent as ``Fraction``s.  A
+    certain moment whose item is not yet fixed takes no draw.  A standard
+    error is the sample standard deviation of the per-run utilities over
+    sqrt(samples), with the variance taken from the mean square.  Both are
+    exact until each is rounded once: the estimate to a float, the variance
+    to a float before its square root.  The engine's sampler must consume
     the generator the same way and return the same floats.
 
     ``keys``, when a set, collects every placement's (item, bundle sizes of
@@ -240,15 +242,15 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None, keys=None
                    for j in range(m)]
     if prefix is None:
         arrived, counts0 = (), [0] * n
-        held = [0.0] * n
-        credit = [[float(u) for u in row] for row in instance.utilities]
+        held = [F(0)] * n
+        credit = instance.utilities
     else:
         arrived, bundles = prefix
         counts0 = [len(bundle) for bundle in bundles]
         columns = columns[len(arrived):len(arrived) + 1]
-        held = [float(sum((instance.utilities[i][k] for k in bundle), F(0)))
+        held = [sum((instance.utilities[i][k] for k in bundle), F(0))
                 for i, bundle in enumerate(bundles)]
-        credit = [[1.0] * m for _ in range(n)]
+        credit = [[F(1)] * m for _ in range(n)]
     fixed = set(arrived)
     sequence = [-1] * len(columns)
     draws = []
@@ -259,7 +261,7 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None, keys=None
         else:
             draws.append((moment, [(k, float(p)) for k, p in column]))
     rng = random.Random(seed)
-    totals, squares = [0.0] * n, [0.0] * n
+    totals, squares = [F(0)] * n, [F(0)] * n
     voided = 0
     for _ in range(samples):
         seen = set(fixed)
@@ -282,7 +284,7 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None, keys=None
             voided += 1
             continue
         counts = list(counts0)
-        gains = [0.0] * n
+        gains = [F(0)] * n
         for item in sequence:
             likers = [i for i in range(n) if instance.utilities[i][item] > 0]
             if keys is not None:
@@ -297,9 +299,9 @@ def naive_monte_carlo(instance, mechanism, samples, seed, prefix=None, keys=None
             totals[i] += gains[i]
             squares[i] += gains[i] * gains[i]
     means = [totals[i] / samples for i in range(n)]
-    errors = [math.sqrt(max(0.0, squares[i] / samples - means[i] * means[i])
-                        / max(samples - 1, 1)) for i in range(n)]
-    return [held[i] + means[i] for i in range(n)], errors, voided
+    errors = [math.sqrt(float((squares[i] / samples - means[i] * means[i])
+                              / max(samples - 1, 1))) for i in range(n)]
+    return [float(held[i] + means[i]) for i in range(n)], errors, voided
 
 
 # --- independent graph constructions and oracles --------------------------------

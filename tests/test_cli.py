@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from onlinefair import _search, cli
+from onlinefair import _online, _search, cli
 from onlinefair.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -174,7 +174,14 @@ class TestOutcome:
         assert out == ""
         assert message in err
 
-    def test_exact_with_prefix(self, capsys, pair_instance, tmp_path):
+    def test_exact_with_prefix(self, capsys, monkeypatch, pair_instance, tmp_path):
+        # one owner-level step, with one check of the prefix, gives both the
+        # next-item probabilities and the utilities
+        calls = []
+        for name in ("states_after", "check_prefix"):
+            real = getattr(_online, name)
+            monkeypatch.setattr(_online, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
         prefix = {"arrived": [1], "bundles": [[1], []], "probability": "1/2"}
         path = tmp_path / "prefix.json"
         path.write_text(json.dumps(prefix))
@@ -183,7 +190,9 @@ class TestOutcome:
                        "--prefix", str(path))
         assert out["method"] == "online"
         assert out["value"] == "1"
+        assert out["expected_utility"] == ["1", "1"]
         assert out["next_item_probability"] == ["0", "1"]
+        assert sorted(calls) == ["check_prefix", "states_after"]
 
     @pytest.mark.parametrize("command", [
         ("outcome", "--query", "exact", "--agent", "1"),
@@ -1293,10 +1302,10 @@ class TestStartup:
         assert {m.removeprefix("onlinefair.") for m in modules} & private == loaded
 
     @pytest.mark.parametrize("command, budget", [
-        ("outcome", 7848), ("outcome --prefix", 9063),
-        ("manipulate --mode exact", 8360), ("manipulate --mode best-response", 9213),
-        ("generate", 11439), ("oracle", 11439), ("sample", 9081),
-        ("sample --prefix", 9434),
+        ("outcome", 7843), ("outcome --prefix", 9063),
+        ("manipulate --mode exact", 8355), ("manipulate --mode best-response", 9208),
+        ("generate", 11434), ("oracle", 11434), ("sample", 9075),
+        ("sample --prefix", 9432),
     ])
     def test_compile_budget(self, pair_instance, tmp_path, command, budget):
         """Without bytecode a call compiles every package module it loads.
@@ -1321,7 +1330,7 @@ class TestStartup:
         assert f"onlinefair._cli_{command.split()[0]}" in imported
         assert "onlinefair.cli" not in imported
 
-    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1553), ("cli.py", 1748)])
+    @pytest.mark.parametrize("module, ceiling", [("engine.py", 1548), ("cli.py", 1748)])
     def test_module_size_ceiling(self, module, ceiling):
         """Every CLI call compiles these modules, so neither may grow past its
         tokenize token count (ENCODING token included) when the ceiling was

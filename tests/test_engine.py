@@ -32,7 +32,7 @@ from onlinefair import (
     reduction2_instance,
     states_after,
 )
-from onlinefair import engine
+from onlinefair import _sampler, engine
 from onlinefair.arrivals import _columns, _plan, _scaled_completion
 from onlinefair.engine import _positive_bidders, _step
 from onlinefair.mechanisms import packed_sizes
@@ -1131,42 +1131,57 @@ class TestMonteCarlo:
                                       samples, seed)
         assert result == naive_monte_carlo(inst, mechanism, samples, seed, prefix)
 
-    @pytest.mark.parametrize("samples", [engine._BATCH - 1, engine._BATCH,
-                                         engine._BATCH + 1, 3 * engine._BATCH + 5])
+    def test_sums_gains_exactly(self):
+        # every run gains exactly 2/3, so the estimate is 2/3 rounded once and
+        # the standard error is 0; float sums of 1/3 read 0.6666666666666636
+        # and 3.55e-9
+        inst = Instance(1, 2, ((F(1, 3), F(1, 3)),), FixedOrder((0, 1)))
+        result = monte_carlo_estimate(QueryContext(inst, Mechanism.LIKE), 1000, 1)
+        assert result == ([float(F(2, 3))], [0.0], 0)
+
+    @pytest.mark.parametrize("samples", [_sampler._BATCH - 1, _sampler._BATCH,
+                                         _sampler._BATCH + 1, 3 * _sampler._BATCH + 5])
     @pytest.mark.parametrize("mechanism", list(Mechanism))
-    @pytest.mark.parametrize("arrival", ["order", "distribution"])
+    @pytest.mark.parametrize("arrival", ["order", "distribution", "thirds"])
     @pytest.mark.parametrize("online", [False, True])
     def test_matches_naive_sampler_across_batches(self, samples, mechanism, arrival,
                                                   online):
-        # the sampler folds its runs' gains into the totals a batch at a time;
-        # the float sums must still be the run-by-run ones.  Credits such as 1/3
-        # and 2/7 round in binary, and every agent bids on most of the six items,
-        # so one run gives an agent two or more of them: a row summed in another
-        # order, or a batch folded in another order, would differ in the last
-        # bits.  The distribution is 4/5 on its diagonal, so about a quarter of
-        # the runs complete, and its first column leaves a 1/10 residual
+        # the sampler folds its runs' integer gains into the totals a batch at a
+        # time; the rounded estimates and standard errors must still be those of
+        # the exact run-by-run sums.  Credits such as 1/3 and 2/7 round in
+        # binary, and every agent bids on most of the six items, so one run
+        # gives an agent two or more of them: a float sum would differ from the
+        # exact one in the last bits.  The distribution is 4/5 on its diagonal,
+        # so about a quarter of the runs complete, and its first column leaves a
+        # 1/10 residual.  "thirds" is one agent and two items worth 1/3 each, so
+        # every run ends the same: 2/3, or from the prefix that holds 1/3, that
+        # held value plus a certain win of the next item
         third, seventh = F(1, 3), F(2, 7)
         rows = ((third, seventh, F(5, 3), third, F(0), F(1, 7)),
                 (seventh, third, third, F(0), F(3, 7), seventh),
                 (F(1, 7), F(0), seventh, F(2, 3), third, F(4, 9)))
-        if arrival == "order":
-            model = FixedOrder((2, 0, 5, 1, 4, 3))
+        if arrival == "thirds":
+            inst = Instance(1, 2, ((third, third),), FixedOrder((0, 1)))
+        elif arrival == "order":
+            inst = Instance(3, 6, rows, FixedOrder((2, 0, 5, 1, 4, 3)))
         else:
             off = F(1, 25)
-            model = Distribution(tuple(
+            inst = Instance(3, 6, rows, Distribution(tuple(
                 tuple(F(4, 5) if k == j else off - (F(1, 50) if j == 0 else 0)
-                      for j in range(6)) for k in range(6)))
-        inst = Instance(3, 6, rows, model)
+                      for j in range(6)) for k in range(6))))
         prefix = None
         if online:
-            arrived = (2, 0) if arrival == "order" else (1, 4)
-            prefix = arrived, [{arrived[0]}, set(), {arrived[1]}]
+            arrived = {"thirds": (0,), "order": (2, 0), "distribution": (1, 4)}[arrival]
+            prefix = arrived, [{arrived[0]}, set(), {arrived[-1]}][:inst.n]
         known = prefix and (prefix[0],
                             AllocationState(tuple(map(frozenset, prefix[1])), F(1)))
         result = monte_carlo_estimate(QueryContext(inst, mechanism, known_prefix=known),
                                       samples, 29)
         assert result == naive_monte_carlo(inst, mechanism, samples, 29, prefix)
-        assert 0 < result.voided < samples or arrival == "order" and not result.voided
+        if arrival == "thirds":
+            assert result == ([float(F(4, 3) if online else F(2, 3))], [0.0], 0)
+        else:
+            assert 0 < result.voided < samples or arrival == "order" and not result.voided
 
     @pytest.mark.parametrize("mechanism", list(Mechanism))
     def test_matches_naive_sampler_on_the_k55_gadget(self, mechanism):
@@ -1174,7 +1189,7 @@ class TestMonteCarlo:
         # three batches, with one item that only the collector bids on
         inst = reduction2_instance(complete_minus_even_cycle(5))
         assert inst.n == 16
-        samples = 2 * engine._BATCH + 77
+        samples = 2 * _sampler._BATCH + 77
         assert monte_carlo_estimate(QueryContext(inst, mechanism), samples, 8) \
             == naive_monte_carlo(inst, mechanism, samples, 8)
 

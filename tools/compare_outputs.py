@@ -6,7 +6,10 @@ For each seed (1 and 2 by default) and each workload of ``BENCHMARK.json``,
 answers.  Every set-up call and query runs under both trees' ``src`` with
 ``PYTHONDONTWRITEBYTECODE=1``, and so do the help texts and usage errors of
 ``USAGE_CALLS``, which no workload prints; each call whose stdout, stderr or
-exit code differ is printed, and the script exits 1 if any do.
+exit code differ is printed, and the script exits 1 if any do.  A differing
+call is followed by what differs in it: the top-level keys whose values
+differ when both stdouts are JSON objects, else which of stdout, stderr and
+the exit code differ.
 """
 
 from __future__ import annotations
@@ -37,6 +40,24 @@ def run(tree: Path, argv) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def differences(before, after) -> list[str]:
+    """What differs between two ``run`` results: the top-level keys of two
+    JSON object stdouts, and "stderr" and "exit code" when those differ."""
+    (code, out, err), (code2, out2, err2) = before, after
+    try:
+        old, new = json.loads(out), json.loads(out2)
+    except ValueError:
+        old = new = None
+    names = []
+    if isinstance(old, dict) and isinstance(new, dict):
+        missing = object()
+        names = sorted(key for key in old.keys() | new.keys()
+                       if old.get(key, missing) != new.get(key, missing))
+    if out != out2 and not names:  # not JSON objects, or only spacing differs
+        names = ["stdout"]
+    return names + ["stderr"] * (err != err2) + ["exit code"] * (code != code2)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -53,6 +74,7 @@ def main(argv: list[str]) -> int:
         if before != after:
             differ += 1
             print(f"DIFFERS {label}: {' '.join(call)}")
+            print(f"  in: {', '.join(differences(before, after))}")
         return before
 
     for call in USAGE_CALLS:
